@@ -900,6 +900,61 @@ mod tests {
     }
 
     #[test]
+    fn every_entry_point_returns_identical_results_and_stats() {
+        // Matched ("xxa@yy"), prescan-skipped ("bbbb": no factor byte) and
+        // prescan-rejected ("@aaa": factors present, no match) documents,
+        // interleaved so every shard boundary sees a mix.
+        let e = Arc::new(engine(".*{x:a+}@.*"));
+        let texts = ["xxa@yy", "bbbb", "@aaa", "a@", "", "aa@a@", "zz@", "b"];
+        let docs: Arc<Vec<Document>> = Arc::new(
+            (0..23)
+                .map(|i| Document::new(texts[i % texts.len()]))
+                .collect(),
+        );
+        let all_ids: Vec<u32> = (0..docs.len() as u32).collect();
+        let hashes: Vec<u64> = docs
+            .iter()
+            .map(|d| {
+                use std::hash::{Hash, Hasher};
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                d.text().hash(&mut h);
+                h.finish()
+            })
+            .collect();
+        let timeless = |out: CorpusResult| {
+            let stats = CorpusStats {
+                elapsed: Duration::ZERO,
+                ..out.stats
+            };
+            (out.results, stats)
+        };
+        for threads in [1, 2, 3, 8] {
+            let reference = timeless(e.evaluate_with_threads(&docs, threads).unwrap());
+            assert!(reference.1.matched_documents > 0, "{:?}", reference.1);
+            assert!(reference.1.docs_skipped > 0, "{:?}", reference.1);
+            assert!(reference.1.docs_rejected > 0, "{:?}", reference.1);
+            let (traced, _) = e.evaluate_traced_with_threads(&docs, threads).unwrap();
+            let candidates = e
+                .evaluate_candidates_with_threads(&docs, &all_ids, threads)
+                .unwrap();
+            let pool = WorkerPool::new(threads);
+            let pooled = e.evaluate_on_pool(&docs, &pool).unwrap();
+            let mut view = QueryView::unbounded();
+            let delta = e
+                .evaluate_delta(&docs, &hashes, None, &mut view, threads)
+                .unwrap();
+            for (name, out) in [
+                ("traced", traced),
+                ("candidates", candidates),
+                ("pool", pooled),
+                ("delta", delta.output),
+            ] {
+                assert_eq!(timeless(out), reference, "{name} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
     fn split_lines_shape() {
         let docs = split_lines("a\nbb\n\nc");
         assert_eq!(docs.len(), 4);
