@@ -121,55 +121,7 @@ impl PhysOp {
     /// [`CompiledPlan`]). The *root* result is not bounded: like the old
     /// pipeline's final enumeration, the caller asked for it.
     pub fn execute_bounded(&self, doc: &Document, limit: usize) -> SpannerResult<MappingSet> {
-        match self {
-            PhysOp::CompiledScan {
-                vsa,
-                compiled,
-                fast_path,
-            } => {
-                if vsa.accepting_states().is_empty() {
-                    return Ok(MappingSet::new());
-                }
-                // The boolean pre-pass: documents with no accepting run are
-                // rejected without building enumeration machinery. Exact, so
-                // results are unchanged (see `spanner_vset::scan`).
-                if *fast_path && compiled.prescan(doc) != PreScan::Accept {
-                    return Ok(MappingSet::new());
-                }
-                spanner_enum::evaluate_compiled(compiled, doc)
-            }
-            PhysOp::BlackBoxScan(s) => s.eval(doc),
-            PhysOp::Project { keep, input } => {
-                Ok(checked(input.execute_bounded(doc, limit)?, limit)?.project(keep))
-            }
-            PhysOp::UnionAll(inputs) => {
-                let mut out = MappingSet::builder();
-                for op in inputs {
-                    out.extend(checked(op.execute_bounded(doc, limit)?, limit)?);
-                }
-                Ok(out.finish())
-            }
-            PhysOp::HashJoin { left, right } => {
-                let left = checked(left.execute_bounded(doc, limit)?, limit)?;
-                if left.is_empty() {
-                    // ∅ ⋈ R = ∅ — skip the build side.
-                    return Ok(left);
-                }
-                let right = checked(right.execute_bounded(doc, limit)?, limit)?;
-                Ok(left.join(&right))
-            }
-            PhysOp::Difference { input, probe } => {
-                let input = checked(input.execute_bounded(doc, limit)?, limit)?;
-                if input.is_empty() {
-                    // ∅ \ R = ∅ — skip the probe side entirely (with the
-                    // scan pre-pass this makes misses on the input side
-                    // free).
-                    return Ok(input);
-                }
-                let probe = checked(probe.execute_bounded(doc, limit)?, limit)?;
-                Ok(input.anti_join(&probe))
-            }
-        }
+        self.run::<()>(doc, limit).0
     }
 
     /// A zero-valued [`ExecTrace`] with the shape and labels of this plan.
@@ -197,9 +149,10 @@ impl PhysOp {
 
     /// [`PhysOp::execute_bounded`] with per-operator instrumentation.
     ///
-    /// Semantically identical to the untraced path (same results, same
-    /// errors, same short-circuits); it is a **separate** recursion so the
-    /// hot path pays nothing when tracing is off. The trace is returned
+    /// Both run the same recursion, generic over its observer: here the
+    /// observer is an [`ExecTrace`], while the untraced path instantiates
+    /// it with `()`, which compiles to the bare recursion. Results, errors
+    /// and short-circuits are therefore identical. The trace is returned
     /// alongside the result — also on error, so a `LimitExceeded` trip is
     /// visible in the trace of the operator whose guard fired
     /// (`limit_trips`). Per node: `rows` (mappings produced), `nanos`
@@ -213,21 +166,20 @@ impl PhysOp {
         doc: &Document,
         limit: usize,
     ) -> (SpannerResult<MappingSet>, ExecTrace) {
-        let start = Instant::now();
-        let mut node = ExecTrace::new(self.label());
-        let result = self.execute_traced_inner(doc, limit, &mut node);
-        if let Ok(set) = &result {
-            node.rows = set.len() as u64;
-        }
-        node.observe_elapsed(start.elapsed());
-        (result, node)
+        self.run(doc, limit)
     }
 
-    fn execute_traced_inner(
+    /// The one materializing recursion: evaluates this operator under a
+    /// fresh observer `O` and returns the observer with the result.
+    fn run<O: Observer>(&self, doc: &Document, limit: usize) -> (SpannerResult<MappingSet>, O) {
+        O::around(self, |node| self.run_body(doc, limit, node))
+    }
+
+    fn run_body<O: Observer>(
         &self,
         doc: &Document,
         limit: usize,
-        node: &mut ExecTrace,
+        node: &mut O,
     ) -> SpannerResult<MappingSet> {
         match self {
             PhysOp::CompiledScan {
@@ -236,109 +188,79 @@ impl PhysOp {
                 fast_path,
             } => {
                 if vsa.accepting_states().is_empty() {
-                    node.add("prescan_skip", 1);
+                    node.count("prescan_skip", 1);
                     return Ok(MappingSet::new());
                 }
+                // The boolean pre-pass: documents with no accepting run are
+                // rejected without building enumeration machinery. Exact, so
+                // results are unchanged (see `spanner_vset::scan`).
                 if *fast_path {
                     let verdict = compiled.prescan(doc);
-                    // The pre-pass ran its boolean scan (unless a static
-                    // prefilter skipped first); report which tier answered.
-                    // `dfa_states` is the non-forcing probe, so recording
-                    // never builds machinery the untraced path would not.
+                    // The pre-pass ran its boolean scan unless a static
+                    // prefilter skipped first.
                     if verdict != PreScan::Skip {
-                        match compiled.scan_plan().dfa_states() {
-                            Some(Some(_)) => node.add("bool_dfa", 1),
-                            Some(None) => node.add("bool_nfa", 1),
-                            None => {}
-                        }
+                        node.bool_tier(compiled);
                     }
-                    match verdict {
-                        PreScan::Skip => {
-                            node.add("prescan_skip", 1);
-                            return Ok(MappingSet::new());
-                        }
-                        PreScan::Reject => {
-                            node.add("prescan_reject", 1);
-                            return Ok(MappingSet::new());
-                        }
-                        PreScan::Accept => node.add("prescan_accept", 1),
+                    let counter = match verdict {
+                        PreScan::Skip => "prescan_skip",
+                        PreScan::Reject => "prescan_reject",
+                        PreScan::Accept => "prescan_accept",
+                    };
+                    node.count(counter, 1);
+                    if verdict != PreScan::Accept {
+                        return Ok(MappingSet::new());
                     }
                 }
                 spanner_enum::evaluate_compiled(compiled, doc)
             }
             PhysOp::BlackBoxScan(s) => s.eval(doc),
-            PhysOp::Project { keep, input } => {
-                let (result, child) = input.execute_traced_bounded(doc, limit);
-                node.children.push(child);
-                let set = result.and_then(|s| checked_traced(s, limit, node))?;
-                Ok(set.project(keep))
-            }
+            PhysOp::Project { keep, input } => Ok(input.run_input(doc, limit, node)?.project(keep)),
             PhysOp::UnionAll(inputs) => {
                 let mut out = MappingSet::builder();
-                let mut failed = None;
-                for op in inputs {
-                    if failed.is_some() {
-                        // Keep the trace shape stable past the error.
-                        node.children.push(op.trace_skeleton());
-                        continue;
-                    }
-                    let (result, child) = op.execute_traced_bounded(doc, limit);
-                    node.children.push(child);
-                    match result.and_then(|s| checked_traced(s, limit, node)) {
+                for (i, op) in inputs.iter().enumerate() {
+                    match op.run_input(doc, limit, node) {
                         Ok(set) => out.extend(set),
-                        Err(e) => failed = Some(e),
+                        Err(e) => {
+                            // Keep the trace shape stable past the error.
+                            inputs[i + 1..].iter().for_each(|op| node.skipped(op));
+                            return Err(e);
+                        }
                     }
                 }
-                match failed {
-                    Some(e) => Err(e),
-                    None => Ok(out.finish()),
-                }
+                Ok(out.finish())
             }
             PhysOp::HashJoin { left, right } => {
-                let (result, child) = left.execute_traced_bounded(doc, limit);
-                node.children.push(child);
-                let left_set = match result.and_then(|s| checked_traced(s, limit, node)) {
-                    Ok(set) => set,
-                    Err(e) => {
-                        node.children.push(right.trace_skeleton());
-                        return Err(e);
-                    }
-                };
-                if left_set.is_empty() {
-                    // ∅ ⋈ R = ∅ — skip the build side.
-                    node.add("build_skipped", 1);
-                    node.children.push(right.trace_skeleton());
-                    return Ok(left_set);
-                }
-                let (result, child) = right.execute_traced_bounded(doc, limit);
-                node.children.push(child);
-                let right_set = result.and_then(|s| checked_traced(s, limit, node))?;
-                node.add("build_rows", right_set.len() as u64);
-                Ok(left_set.join(&right_set))
+                let sides = run_pair(left, right, BUILD_COUNTERS, doc, limit, node)?;
+                Ok(match sides {
+                    (left, Some(right)) => left.join(&right),
+                    // ∅ ⋈ R = ∅ — the build side was skipped.
+                    (left, None) => left,
+                })
             }
             PhysOp::Difference { input, probe } => {
-                let (result, child) = input.execute_traced_bounded(doc, limit);
-                node.children.push(child);
-                let input_set = match result.and_then(|s| checked_traced(s, limit, node)) {
-                    Ok(set) => set,
-                    Err(e) => {
-                        node.children.push(probe.trace_skeleton());
-                        return Err(e);
-                    }
-                };
-                if input_set.is_empty() {
-                    // ∅ \ R = ∅ — skip the probe side entirely.
-                    node.add("probe_skipped", 1);
-                    node.children.push(probe.trace_skeleton());
-                    return Ok(input_set);
-                }
-                let (result, child) = probe.execute_traced_bounded(doc, limit);
-                node.children.push(child);
-                let probe_set = result.and_then(|s| checked_traced(s, limit, node))?;
-                node.add("probe_rows", probe_set.len() as u64);
-                Ok(input_set.anti_join(&probe_set))
+                let sides = run_pair(input, probe, PROBE_COUNTERS, doc, limit, node)?;
+                Ok(match sides {
+                    (input, Some(probe)) => input.anti_join(&probe),
+                    // ∅ \ R = ∅ — the probe side was skipped (with the scan
+                    // pre-pass this makes misses on the input side free).
+                    (input, None) => input,
+                })
             }
         }
+    }
+
+    /// Runs this operator as an input of `node`: attaches its observer and
+    /// applies the resource guard, counting a trip on the guarding operator
+    /// (`limit_trips`).
+    fn run_input<O: Observer>(
+        &self,
+        doc: &Document,
+        limit: usize,
+        node: &mut O,
+    ) -> SpannerResult<MappingSet> {
+        let (result, child) = self.run(doc, limit);
+        node.input(child);
+        checked(result?, limit).inspect_err(|_| node.count("limit_trips", 1))
     }
 
     /// Opens a pull iterator over the operator's mappings on one document,
@@ -639,8 +561,9 @@ impl PhysicalPlan {
     }
 
     /// [`PhysicalPlan::execute`] with per-operator instrumentation (see
-    /// [`PhysOp::execute_traced_bounded`]); a separate recursion, so
-    /// untraced execution pays nothing for it.
+    /// [`PhysOp::execute_traced_bounded`]). Both run one recursion, generic
+    /// over its observer; untraced execution instantiates the no-op
+    /// observer, which compiles away, so it pays nothing for tracing.
     pub fn execute_traced(&self, doc: &Document) -> (SpannerResult<MappingSet>, ExecTrace) {
         self.root.execute_traced_bounded(doc, self.max_intermediate)
     }
@@ -696,20 +619,6 @@ impl fmt::Debug for PhysicalPlan {
     }
 }
 
-/// [`checked`] for the traced path: a tripped guard is recorded on the
-/// operator that enforced it (`limit_trips`) before the error propagates.
-fn checked_traced(
-    set: MappingSet,
-    limit: usize,
-    node: &mut ExecTrace,
-) -> SpannerResult<MappingSet> {
-    let result = checked(set, limit);
-    if result.is_err() {
-        node.add("limit_trips", 1);
-    }
-    result
-}
-
 /// Enforces the intermediate-relation resource guard of
 /// [`PhysOp::execute_bounded`].
 fn checked(set: MappingSet, limit: usize) -> SpannerResult<MappingSet> {
@@ -721,6 +630,107 @@ fn checked(set: MappingSet, limit: usize) -> SpannerResult<MappingSet> {
         });
     }
     Ok(set)
+}
+
+/// The second-side row and skip counters of a join (its build side) and of
+/// a difference (its probe side).
+const BUILD_COUNTERS: [&str; 2] = ["build_rows", "build_skipped"];
+const PROBE_COUNTERS: [&str; 2] = ["probe_rows", "probe_skipped"];
+
+/// Runs the two inputs of a join or difference as inputs of `node`: the
+/// second one only when the first came back non-empty (`∅ ⋈ R = ∅ \ R =
+/// ∅`). `rows` and `skipped` name the second side's row counter and skip
+/// counter. Returns the first relation and the second, or `None` when the
+/// second side was skipped.
+fn run_pair<O: Observer>(
+    first: &PhysOp,
+    second: &PhysOp,
+    [rows, skipped]: [&str; 2],
+    doc: &Document,
+    limit: usize,
+    node: &mut O,
+) -> SpannerResult<(MappingSet, Option<MappingSet>)> {
+    let first = match first.run_input(doc, limit, node) {
+        Ok(set) if !set.is_empty() => set,
+        outcome => {
+            if outcome.is_ok() {
+                node.count(skipped, 1);
+            }
+            node.skipped(second);
+            return outcome.map(|empty| (empty, None));
+        }
+    };
+    let second = second.run_input(doc, limit, node)?;
+    node.count(rows, second.len() as u64);
+    Ok((first, Some(second)))
+}
+
+/// What the materializing recursion reports about each operator it runs.
+///
+/// `()` observes nothing: every method is an empty body, so the recursion
+/// instantiated with it has no clock reads, no skeleton traces and no
+/// automaton probes. [`ExecTrace`] records one trace node per operator.
+trait Observer: Sized {
+    /// Runs one operator's `body` under a fresh observer for that operator.
+    fn around(
+        op: &PhysOp,
+        body: impl FnOnce(&mut Self) -> SpannerResult<MappingSet>,
+    ) -> (SpannerResult<MappingSet>, Self);
+    /// Adds `value` to the operator's named counter.
+    fn count(&mut self, counter: &str, value: u64);
+    /// Attaches the observer of an input that ran.
+    fn input(&mut self, child: Self);
+    /// Attaches a zero-valued stand-in for an input that was short-circuited.
+    fn skipped(&mut self, op: &PhysOp);
+    /// Records which boolean tier answered a scan's pre-pass.
+    fn bool_tier(&mut self, compiled: &CompiledVsa);
+}
+
+impl Observer for () {
+    fn around(
+        _: &PhysOp,
+        body: impl FnOnce(&mut ()) -> SpannerResult<MappingSet>,
+    ) -> (SpannerResult<MappingSet>, ()) {
+        (body(&mut ()), ())
+    }
+    fn count(&mut self, _: &str, _: u64) {}
+    fn input(&mut self, _: ()) {}
+    fn skipped(&mut self, _: &PhysOp) {}
+    fn bool_tier(&mut self, _: &CompiledVsa) {}
+}
+
+impl Observer for ExecTrace {
+    fn around(
+        op: &PhysOp,
+        body: impl FnOnce(&mut ExecTrace) -> SpannerResult<MappingSet>,
+    ) -> (SpannerResult<MappingSet>, ExecTrace) {
+        let start = Instant::now();
+        let mut node = ExecTrace::new(op.label());
+        let result = body(&mut node);
+        if let Ok(set) = &result {
+            node.rows = set.len() as u64;
+        }
+        node.observe_elapsed(start.elapsed());
+        (result, node)
+    }
+    fn count(&mut self, counter: &str, value: u64) {
+        self.add(counter, value);
+    }
+    fn input(&mut self, child: ExecTrace) {
+        self.children.push(child);
+    }
+    fn skipped(&mut self, op: &PhysOp) {
+        self.children.push(op.trace_skeleton());
+    }
+    fn bool_tier(&mut self, compiled: &CompiledVsa) {
+        // `dfa_states` is the non-forcing probe, so recording never builds
+        // machinery the untraced path would not.
+        match compiled.scan_plan().dfa_states() {
+            Some(Some(_)) => self.add("bool_dfa", 1),
+            Some(None) => self.add("bool_nfa", 1),
+            None => {}
+        }
+    }
 }
 
 /// A materialized relation with lazily-built hash indexes for compatibility

@@ -127,15 +127,16 @@ pub fn parse_bench_json(text: &str) -> Vec<BenchEntry> {
         .collect()
 }
 
-/// One violation found by [`gate_regressions`]: either a slowdown past
-/// the tolerance or a silent change in a workload's mapping count.
+/// One violation found by [`gate_regressions`]: a slowdown past the
+/// tolerance, a silent change in a workload's mapping count, or a baseline
+/// workload the fresh run no longer reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// The workload that regressed.
     pub workload: String,
     /// Committed baseline median, nanoseconds.
     pub baseline_ns: u128,
-    /// Freshly measured median, nanoseconds.
+    /// Freshly measured median, nanoseconds (`0` when missing).
     pub fresh_ns: u128,
     /// What tripped the gate.
     pub kind: RegressionKind,
@@ -157,6 +158,9 @@ pub enum RegressionKind {
         /// Freshly measured mapping count.
         fresh: usize,
     },
+    /// The baseline workload is absent from the fresh run — a renamed or
+    /// dropped benchmark would otherwise pass the gate silently.
+    Missing,
 }
 
 impl std::fmt::Display for Regression {
@@ -172,6 +176,9 @@ impl std::fmt::Display for Regression {
                 "{}: mapping count changed {} -> {}",
                 self.workload, baseline, fresh
             ),
+            RegressionKind::Missing => {
+                write!(f, "{}: missing from the fresh run", self.workload)
+            }
         }
     }
 }
@@ -182,9 +189,9 @@ impl std::fmt::Display for Regression {
 /// `baseline * (1 + tolerance)` — with `tolerance = 0.25` a >25%
 /// slowdown trips the gate while run-to-run noise (the experiment
 /// binaries already take medians of repeated runs) passes. A changed
-/// mapping count always trips it, whatever the timing. Workloads present
-/// on only one side are ignored: a new benchmark is not a regression,
-/// and a deleted one is a review concern, not a measurement.
+/// mapping count always trips it, whatever the timing, and so does a
+/// baseline workload missing from the fresh run. A workload only the fresh
+/// run has is a new benchmark, not a regression.
 pub fn gate_regressions(
     baseline: &[BenchEntry],
     fresh: &[BenchEntry],
@@ -193,6 +200,12 @@ pub fn gate_regressions(
     let mut out = Vec::new();
     for base in baseline {
         let Some(new) = fresh.iter().find(|e| e.workload == base.workload) else {
+            out.push(Regression {
+                workload: base.workload.clone(),
+                baseline_ns: base.median_ns,
+                fresh_ns: 0,
+                kind: RegressionKind::Missing,
+            });
             continue;
         };
         if new.mappings != base.mappings {
@@ -313,7 +326,6 @@ mod tests {
             entry("a", 1_000, 5),
             entry("b", 1_000, 5),
             entry("c", 1_000, 5),
-            entry("gone", 1_000, 5),
         ];
         let fresh = [
             entry("a", 1_240, 5),   // +24%: within the 25% tolerance
@@ -347,6 +359,20 @@ mod tests {
             }
         );
         assert!(regressions[0].to_string().contains("5 -> 4"));
+    }
+
+    #[test]
+    fn gate_flags_a_workload_missing_from_the_fresh_run() {
+        let baseline = [
+            BenchEntry::new("kept", Duration::from_nanos(1_000), 5),
+            BenchEntry::new("gone", Duration::from_nanos(1_000), 5),
+        ];
+        let fresh = [BenchEntry::new("kept", Duration::from_nanos(1_000), 5)];
+        let regressions = gate_regressions(&baseline, &fresh, 0.25);
+        assert_eq!(regressions.len(), 1);
+        assert_eq!(regressions[0].workload, "gone");
+        assert_eq!(regressions[0].kind, RegressionKind::Missing);
+        assert!(regressions[0].to_string().contains("missing"));
     }
 
     #[test]

@@ -10,13 +10,26 @@
 //!   `spanner-algebra::exec`) and then evaluates it over any number of
 //!   documents — every worker runs the same operator pipeline as
 //!   single-document evaluation and SpannerQL;
-//! * [`CorpusEngine::evaluate_with_threads`] shards the corpus across a
-//!   scoped thread pool. The lowered plan is read-only after compilation
-//!   (`CompiledPlan: Sync`), so every worker evaluates against the *same*
-//!   shared operator tree and compiled automata — no per-thread
-//!   compilation, no locking on the hot path. Results are returned **in
-//!   corpus order** and are bit-identical for every thread count (each
-//!   document is evaluated independently);
+//! * every corpus entry point is a thin caller of one private driver. It
+//!   evaluates a *selection* — every document, or a sorted id list — in
+//!   contiguous shards through one per-shard kernel (the plan's prescan
+//!   verdict, then evaluation) and tallies one [`CorpusStats`]. The entry
+//!   points differ only in which ids they pass
+//!   ([`CorpusEngine::evaluate_with_threads`]: all;
+//!   [`CorpusEngine::evaluate_candidates_with_threads`]: an index's
+//!   candidates; [`CorpusEngine::evaluate_delta`]: a view's misses), in
+//!   what they count as pruned without reading it, and in where the shards
+//!   run: inline on the calling thread when one worker suffices, otherwise
+//!   on scoped threads ([`CorpusEngine::evaluate_with_threads`]) or on a
+//!   persistent [`WorkerPool`] ([`CorpusEngine::evaluate_on_pool`]).
+//!   Tracing ([`CorpusEngine::evaluate_traced_with_threads`]) is a
+//!   parameter of the same pass: a per-shard [`ExecTrace`] accumulator
+//!   when it is on, nothing when it is off. The lowered plan is read-only
+//!   after compilation (`CompiledPlan: Sync`), so every worker evaluates
+//!   against the *same* shared operator tree and compiled automata — no
+//!   per-thread compilation, no locking on the hot path. Results are
+//!   returned **in corpus order** and are bit-identical for every thread
+//!   count (each document is evaluated independently);
 //! * [`CorpusResult`] carries the per-document relations plus aggregate
 //!   [`CorpusStats`].
 //!
@@ -37,7 +50,7 @@
 
 use spanner_algebra::{CompiledPlan, ExecTrace, Instantiation, PreScan, RaOptions, RaTree};
 use spanner_core::{Document, MappingSet, SpannerResult};
-use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -100,62 +113,140 @@ pub struct CorpusEngine {
     plan: CompiledPlan,
 }
 
-/// What happened to one document: evaluated through the operator pipeline,
-/// or proven empty by the scan fast path before evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DocOutcome {
-    Evaluated,
-    Skipped,
-    Rejected,
+/// Which documents one corpus pass evaluates. Every other document keeps
+/// the result its caller already holds (empty, or a retained view entry)
+/// and is never read.
+#[derive(Debug, Clone, Copy)]
+enum Selection<'a> {
+    /// Every document, in corpus order.
+    All,
+    /// Sorted, duplicate-free, in-bounds document ids (a duplicate would be
+    /// evaluated twice and double-counted in the stats).
+    Ids(&'a [u32]),
 }
 
-/// One per-document result slot, tagged with its fast-path outcome so the
-/// aggregate [`CorpusStats`] counters are exact.
-type DocSlot = Option<(SpannerResult<MappingSet>, DocOutcome)>;
+impl Selection<'_> {
+    /// Number of selected documents in a corpus of `docs`.
+    fn len(self, docs: usize) -> usize {
+        match self {
+            Selection::All => docs,
+            Selection::Ids(ids) => ids.len(),
+        }
+    }
 
-/// Evaluates one document, consulting the plan's document-level pre-pass
-/// first. A `Skip`/`Reject` verdict is a proof the result is empty, so the
-/// returned relation is bit-identical to a full evaluation.
-fn eval_doc(plan: &CompiledPlan, doc: &Document) -> (SpannerResult<MappingSet>, DocOutcome) {
-    match plan.prescan_reject(doc) {
-        Some(PreScan::Skip) => (Ok(MappingSet::new()), DocOutcome::Skipped),
-        Some(PreScan::Reject) => (Ok(MappingSet::new()), DocOutcome::Rejected),
-        _ => (plan.evaluate(doc), DocOutcome::Evaluated),
+    /// The document id at selection position `k`.
+    fn id(self, k: usize) -> usize {
+        match self {
+            Selection::All => k,
+            Selection::Ids(ids) => ids[k] as usize,
+        }
     }
 }
 
-/// [`eval_doc`] with per-operator instrumentation: documents the pre-pass
-/// proves empty never reach the executor, so they surface as corpus-level
-/// counters on the root trace node (`corpus_docs_skipped` /
-/// `corpus_docs_rejected`); evaluated documents merge their full
-/// per-operator trace into the worker's accumulator.
-fn eval_doc_traced(
+/// One corpus pass: which documents to evaluate, and what the caller
+/// already holds for the others.
+struct Pass<'a> {
+    sel: Selection<'a>,
+    /// One relation per document, indexed like the corpus; the driver
+    /// overwrites the selected slots and returns the rest as they are.
+    results: Vec<MappingSet>,
+    /// The unselected documents' share of the tally: `docs_skipped` for
+    /// documents pruned without being read, `mappings` and
+    /// `matched_documents` for results the caller already holds.
+    outside: CorpusStats,
+}
+
+impl Pass<'_> {
+    /// Every document of a corpus of `len`.
+    fn all(len: usize) -> Pass<'static> {
+        Pass {
+            sel: Selection::All,
+            results: empty_results(len),
+            outside: CorpusStats::default(),
+        }
+    }
+}
+
+/// Where a pass runs its shards. A pass that resolves to one worker runs
+/// inline on the calling thread on either substrate.
+#[derive(Clone, Copy)]
+enum Substrate<'a> {
+    /// Scoped threads borrowing the documents; `0` = one per CPU.
+    Scoped(usize),
+    /// A persistent pool. Its jobs are `'static`, so they share the engine
+    /// and the documents through `Arc`; only whole-corpus passes
+    /// ([`Selection::All`]) run here.
+    Pool(
+        &'a WorkerPool,
+        &'a Arc<CorpusEngine>,
+        &'a Arc<Vec<Document>>,
+    ),
+}
+
+/// One shard's output, in selection order.
+struct Shard {
+    results: Vec<SpannerResult<MappingSet>>,
+    /// Documents the pre-pass skipped by a static prefilter.
+    skipped: usize,
+    /// Documents the pre-pass rejected by a boolean scan.
+    rejected: usize,
+    /// The shard's trace accumulator, when tracing is on.
+    trace: Option<ExecTrace>,
+}
+
+/// The per-shard kernel: evaluates selection positions `range`, consulting
+/// the plan's document-level pre-pass first. A `Skip`/`Reject` verdict is a
+/// proof the result is empty, so the returned relation is bit-identical to
+/// a full evaluation.
+///
+/// With a trace accumulator, documents the pre-pass proves empty never
+/// reach the executor, so they surface as corpus-level counters on the
+/// root trace node (`corpus_docs_skipped` / `corpus_docs_rejected`);
+/// evaluated documents merge their full per-operator trace into it.
+fn run_shard(
     plan: &CompiledPlan,
-    doc: &Document,
-    trace: &mut ExecTrace,
-) -> (SpannerResult<MappingSet>, DocOutcome) {
-    match plan.prescan_reject(doc) {
-        Some(PreScan::Skip) => {
-            trace.add("corpus_docs_skipped", 1);
-            (Ok(MappingSet::new()), DocOutcome::Skipped)
+    docs: &[Document],
+    sel: Selection<'_>,
+    range: Range<usize>,
+    trace: Option<ExecTrace>,
+) -> Shard {
+    let mut shard = Shard {
+        results: Vec::with_capacity(range.len()),
+        skipped: 0,
+        rejected: 0,
+        trace,
+    };
+    for k in range {
+        let doc = &docs[sel.id(k)];
+        let (result, counter) = match plan.prescan_reject(doc) {
+            Some(PreScan::Skip) => {
+                shard.skipped += 1;
+                (Ok(MappingSet::new()), "corpus_docs_skipped")
+            }
+            Some(PreScan::Reject) => {
+                shard.rejected += 1;
+                (Ok(MappingSet::new()), "corpus_docs_rejected")
+            }
+            _ => match &mut shard.trace {
+                Some(trace) => {
+                    let (result, doc_trace) = plan.evaluate_traced(doc);
+                    trace.merge(&doc_trace);
+                    (result, "corpus_docs_evaluated")
+                }
+                None => (plan.evaluate(doc), "corpus_docs_evaluated"),
+            },
+        };
+        if let Some(trace) = &mut shard.trace {
+            trace.add(counter, 1);
         }
-        Some(PreScan::Reject) => {
-            trace.add("corpus_docs_rejected", 1);
-            (Ok(MappingSet::new()), DocOutcome::Rejected)
-        }
-        _ => {
-            let (result, doc_trace) = plan.evaluate_traced(doc);
-            trace.merge(&doc_trace);
-            trace.add("corpus_docs_evaluated", 1);
-            (result, DocOutcome::Evaluated)
-        }
+        shard.results.push(result);
     }
+    shard
 }
 
 /// Contiguous per-worker shards of `0..len`: disjoint, in order, and
 /// covering every index exactly once — the per-shard document counts sum
-/// exactly to the corpus size (unit-tested below). Both evaluation paths
-/// shard through this one function so their partitions agree.
+/// exactly to the corpus size (unit-tested below).
 fn shard_ranges(len: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
     if len == 0 {
         return Vec::new();
@@ -270,39 +361,6 @@ impl ShardMap {
     }
 }
 
-/// Turns filled slots into a [`CorpusResult`], aggregating the fast-path
-/// counters and the relation statistics.
-fn collect_result(
-    docs: &[Document],
-    threads: usize,
-    slots: Vec<DocSlot>,
-    start: Instant,
-) -> SpannerResult<CorpusResult> {
-    let mut docs_skipped = 0;
-    let mut docs_rejected = 0;
-    let mut results = Vec::with_capacity(docs.len());
-    for slot in slots {
-        let (result, outcome) = slot.expect("every document was evaluated");
-        match outcome {
-            DocOutcome::Skipped => docs_skipped += 1,
-            DocOutcome::Rejected => docs_rejected += 1,
-            DocOutcome::Evaluated => {}
-        }
-        results.push(result?);
-    }
-    let stats = CorpusStats {
-        documents: docs.len(),
-        bytes: docs.iter().map(Document::len).sum(),
-        mappings: results.iter().map(MappingSet::len).sum(),
-        matched_documents: results.iter().filter(|r| !r.is_empty()).count(),
-        threads,
-        docs_skipped,
-        docs_rejected,
-        elapsed: start.elapsed(),
-    };
-    Ok(CorpusResult { results, stats })
-}
-
 /// `CompiledPlan` is read-only after compilation; the engine shares it with
 /// every worker thread by reference.
 const _: fn() = || {
@@ -332,11 +390,6 @@ impl CorpusEngine {
         &self.plan
     }
 
-    /// Evaluates the corpus with one worker per available CPU.
-    pub fn evaluate(&self, docs: &[Document]) -> SpannerResult<CorpusResult> {
-        self.evaluate_with_threads(docs, 0)
-    }
-
     /// Evaluates the corpus with an explicit worker count (`0` = one worker
     /// per available CPU). The per-document results are identical for every
     /// `threads` value; only the wall-clock time changes.
@@ -345,100 +398,39 @@ impl CorpusEngine {
         docs: &[Document],
         threads: usize,
     ) -> SpannerResult<CorpusResult> {
-        let start = Instant::now();
-        let threads = effective_threads(threads, docs.len());
-        let mut slots: Vec<DocSlot> = vec![None; docs.len()];
-        let workers = if threads <= 1 {
-            for (slot, doc) in slots.iter_mut().zip(docs) {
-                *slot = Some(eval_doc(&self.plan, doc));
-            }
-            1
-        } else {
-            // Contiguous shards, one per worker: results land directly in
-            // their corpus position, so no reordering pass is needed.
-            let ranges = shard_ranges(docs.len(), threads);
-            std::thread::scope(|scope| {
-                let mut rest: &mut [DocSlot] = &mut slots;
-                for range in &ranges {
-                    let (slot_chunk, tail) = rest.split_at_mut(range.len());
-                    rest = tail;
-                    let doc_chunk = &docs[range.clone()];
-                    scope.spawn(move || {
-                        for (slot, doc) in slot_chunk.iter_mut().zip(doc_chunk) {
-                            *slot = Some(eval_doc(&self.plan, doc));
-                        }
-                    });
-                }
-            });
-            // Rounding in `shard_ranges` can produce fewer shards than the
-            // clamped request (10 docs / 8 threads → chunks of 2 → 5
-            // shards); report the workers that actually ran.
-            ranges.len()
-        };
-        collect_result(docs, workers, slots, start)
+        let on = Substrate::Scoped(threads);
+        Ok(self.drive(docs, Pass::all(docs.len()), on, None)?.0)
     }
 
     /// [`CorpusEngine::evaluate_with_threads`] with per-operator
     /// instrumentation: returns the corpus result together with one
     /// [`ExecTrace`] aggregated over every document — per-document traces
-    /// merge into per-worker accumulators (all seeded from the same
+    /// merge into per-shard accumulators (all seeded from the same
     /// [`PhysicalPlan::trace_skeleton`](spanner_algebra::PhysicalPlan),
-    /// so shapes always agree) and the workers' traces merge at the end.
+    /// so shapes always agree) and the shards' traces merge at the end.
     /// The relations and stats are bit-identical to the untraced path for
-    /// every thread count; only wall time differs. This is a separate
-    /// evaluation loop, so the untraced path pays nothing for it.
+    /// every thread count; only wall time differs. Both run the same
+    /// driver; the untraced path passes no accumulator and so evaluates
+    /// through the executor's no-op observer.
     pub fn evaluate_traced_with_threads(
         &self,
         docs: &[Document],
         threads: usize,
     ) -> SpannerResult<(CorpusResult, ExecTrace)> {
-        let start = Instant::now();
-        let threads = effective_threads(threads, docs.len());
-        let skeleton = self.plan.physical().trace_skeleton();
-        let mut slots: Vec<DocSlot> = vec![None; docs.len()];
-        let mut trace = skeleton.clone();
-        let workers = if threads <= 1 {
-            for (slot, doc) in slots.iter_mut().zip(docs) {
-                *slot = Some(eval_doc_traced(&self.plan, doc, &mut trace));
-            }
-            1
-        } else {
-            let ranges = shard_ranges(docs.len(), threads);
-            let worker_traces: Vec<ExecTrace> = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(ranges.len());
-                let mut rest: &mut [DocSlot] = &mut slots;
-                for range in &ranges {
-                    let (slot_chunk, tail) = rest.split_at_mut(range.len());
-                    rest = tail;
-                    let doc_chunk = &docs[range.clone()];
-                    let mut worker_trace = skeleton.clone();
-                    handles.push(scope.spawn(move || {
-                        for (slot, doc) in slot_chunk.iter_mut().zip(doc_chunk) {
-                            *slot = Some(eval_doc_traced(&self.plan, doc, &mut worker_trace));
-                        }
-                        worker_trace
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("corpus worker panicked"))
-                    .collect()
-            });
-            for worker_trace in &worker_traces {
-                trace.merge(worker_trace);
-            }
-            ranges.len()
-        };
-        let result = collect_result(docs, workers, slots, start)?;
-        Ok((result, trace))
+        let on = Substrate::Scoped(threads);
+        let skeleton = Some(self.plan.physical().trace_skeleton());
+        let (result, trace) = self.drive(docs, Pass::all(docs.len()), on, skeleton)?;
+        Ok((result, trace.expect("a traced pass returns its trace")))
     }
 
     /// Evaluates only the `candidates` subset of the corpus — the
     /// index-aware path: a corpus-level index (e.g. the trigram index of
     /// `spanner-store`) has already proven every other document's result
     /// empty, so non-candidates are counted as `docs_skipped` **without
-    /// being visited** (no byte of theirs is read). Results are returned
-    /// for the whole corpus, in corpus order, and are bit-identical to
+    /// being visited** (no byte of theirs is read; each costs one empty
+    /// relation, which does not allocate). The work, and the shards, track
+    /// the candidate count. Results are returned for the whole corpus, in
+    /// corpus order, and are bit-identical to
     /// [`CorpusEngine::evaluate_with_threads`] whenever the candidate set
     /// is sound (it contains every document with a non-empty result).
     ///
@@ -452,85 +444,23 @@ impl CorpusEngine {
         candidates: &[u32],
         threads: usize,
     ) -> SpannerResult<CorpusResult> {
-        let start = Instant::now();
-        // The result is assembled directly, not through the per-document
-        // slot machinery of the full scan: the whole point of the index is
-        // that per-query cost tracks the candidate count, so the
-        // non-candidate majority must cost one empty relation each and
-        // nothing more (an empty `MappingSet` does not allocate).
-        let mut results: Vec<MappingSet> = std::iter::repeat_with(MappingSet::new)
-            .take(docs.len())
-            .collect();
-        let threads = effective_threads(threads, candidates.len());
-        // One evaluated candidate: (document index, (result, outcome)).
-        type Evaluated = Vec<(u32, (SpannerResult<MappingSet>, DocOutcome))>;
-        let mut evaluated: Evaluated;
-        let workers = if threads <= 1 {
-            evaluated = candidates
-                .iter()
-                .map(|&i| (i, eval_doc(&self.plan, &docs[i as usize])))
-                .collect();
-            1
-        } else {
-            // Shard the candidate list (not the corpus): the work is
-            // proportional to candidates, so that is what balances.
-            let ranges = shard_ranges(candidates.len(), threads);
-            let outcomes: Vec<Evaluated> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|range| {
-                        let chunk = &candidates[range.clone()];
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|&i| (i, eval_doc(&self.plan, &docs[i as usize])))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("corpus worker panicked"))
-                    .collect()
-            });
-            let workers = outcomes.len();
-            evaluated = outcomes.into_iter().flatten().collect();
-            workers
+        let pass = Pass {
+            sel: Selection::Ids(candidates),
+            results: empty_results(docs.len()),
+            outside: CorpusStats {
+                docs_skipped: docs.len() - candidates.len(),
+                ..CorpusStats::default()
+            },
         };
-        // Non-candidates are skipped by construction — without being read.
-        let mut docs_skipped = docs.len() - candidates.len();
-        let mut docs_rejected = 0;
-        for (i, (result, outcome)) in evaluated.drain(..) {
-            match outcome {
-                DocOutcome::Skipped => docs_skipped += 1,
-                DocOutcome::Rejected => docs_rejected += 1,
-                DocOutcome::Evaluated => {}
-            }
-            results[i as usize] = result?;
-        }
-        let stats = CorpusStats {
-            documents: docs.len(),
-            bytes: docs.iter().map(Document::len).sum(),
-            // Only candidate slots can be non-empty, so the tallies walk
-            // the candidate list, not the corpus.
-            mappings: candidates.iter().map(|&i| results[i as usize].len()).sum(),
-            matched_documents: candidates
-                .iter()
-                .filter(|&&i| !results[i as usize].is_empty())
-                .count(),
-            threads: workers,
-            docs_skipped,
-            docs_rejected,
-            elapsed: start.elapsed(),
-        };
-        Ok(CorpusResult { results, stats })
+        Ok(self.drive(docs, pass, Substrate::Scoped(threads), None)?.0)
     }
 
     /// Evaluates the corpus by sharding it across a persistent
     /// [`WorkerPool`] instead of spawning scoped threads per call — the
     /// shape a long-running query service wants, where one pool serves
     /// thousands of corpus requests and thread spawn cost is paid once at
-    /// startup.
+    /// startup. A one-worker pool (or a one-document corpus) runs inline
+    /// on the calling thread.
     ///
     /// The engine and the documents are shared with the workers through
     /// `Arc` (jobs on a persistent pool are `'static`). Results are in
@@ -541,38 +471,114 @@ impl CorpusEngine {
         docs: &Arc<Vec<Document>>,
         pool: &WorkerPool,
     ) -> SpannerResult<CorpusResult> {
+        let on = Substrate::Pool(pool, self, docs);
+        Ok(self.drive(docs, Pass::all(docs.len()), on, None)?.0)
+    }
+
+    /// The one corpus driver behind every entry point.
+    ///
+    /// Evaluates the pass's selection in contiguous shards of the
+    /// selection (the work is proportional to the selection, so that is
+    /// what balances) through [`run_shard`], on `on`, and tallies one
+    /// [`CorpusStats`] on top of the pass's `outside` share. `trace`, when
+    /// given, is a plan skeleton that seeds every shard's accumulator; the
+    /// shards' traces merge, in order, into the returned one. The first
+    /// error in corpus order is returned.
+    fn drive(
+        &self,
+        docs: &[Document],
+        pass: Pass<'_>,
+        on: Substrate<'_>,
+        trace: Option<ExecTrace>,
+    ) -> SpannerResult<(CorpusResult, Option<ExecTrace>)> {
         let start = Instant::now();
-        let threads = effective_threads(pool.threads(), docs.len());
-        let chunks = shard_ranges(docs.len(), threads);
-        let (send, recv) = std::sync::mpsc::channel();
-        for (index, range) in chunks.iter().cloned().enumerate() {
-            let engine = Arc::clone(self);
-            let docs = Arc::clone(docs);
-            let send = send.clone();
-            pool.execute(move || {
-                let results: Vec<(SpannerResult<MappingSet>, DocOutcome)> = docs[range.clone()]
-                    .iter()
-                    .map(|doc| eval_doc(&engine.plan, doc))
-                    .collect();
-                // The receiver may already be gone when an earlier chunk
-                // reported an error; dropping the result is fine then.
-                let _ = send.send((index, results));
+        let Pass {
+            sel,
+            mut results,
+            outside,
+        } = pass;
+        let len = sel.len(docs.len());
+        let requested = match on {
+            Substrate::Scoped(threads) => threads,
+            Substrate::Pool(pool, ..) => pool.threads(),
+        };
+        let threads = effective_threads(requested, len);
+        let mut shards: Vec<Shard> = if threads <= 1 {
+            vec![run_shard(&self.plan, docs, sel, 0..len, trace)]
+        } else {
+            let ranges = shard_ranges(len, threads);
+            match on {
+                Substrate::Scoped(_) => std::thread::scope(|scope| {
+                    let handles: Vec<_> = ranges
+                        .into_iter()
+                        .map(|range| {
+                            let trace = trace.clone();
+                            scope.spawn(move || run_shard(&self.plan, docs, sel, range, trace))
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("corpus worker panicked"))
+                        .collect()
+                }),
+                Substrate::Pool(pool, engine, all) => {
+                    debug_assert!(
+                        matches!(sel, Selection::All),
+                        "pool passes are whole-corpus"
+                    );
+                    let (send, recv) = std::sync::mpsc::channel();
+                    let count = ranges.len();
+                    for (index, range) in ranges.into_iter().enumerate() {
+                        let (engine, all, send) =
+                            (Arc::clone(engine), Arc::clone(all), send.clone());
+                        let trace = trace.clone();
+                        pool.execute(move || {
+                            let shard = run_shard(&engine.plan, &all, Selection::All, range, trace);
+                            // Fails only when the caller has already unwound.
+                            let _ = send.send((index, shard));
+                        });
+                    }
+                    drop(send);
+                    let mut shards: Vec<Option<Shard>> =
+                        std::iter::repeat_with(|| None).take(count).collect();
+                    for (index, shard) in recv {
+                        shards[index] = Some(shard);
+                    }
+                    shards
+                        .into_iter()
+                        .map(|shard| shard.expect("every pool job reports its shard"))
+                        .collect()
+                }
+            }
+        };
+        let mut stats = CorpusStats {
+            documents: docs.len(),
+            bytes: docs.iter().map(Document::len).sum(),
+            // The shards that ran, not the clamped request: rounding in
+            // `shard_ranges` can make fewer (10 documents at 8 threads → 5).
+            threads: shards.len(),
+            ..outside
+        };
+        let trace = shards
+            .iter_mut()
+            .filter_map(|shard| shard.trace.take())
+            .reduce(|mut merged, trace| {
+                merged.merge(&trace);
+                merged
             });
-        }
-        drop(send);
-        let mut slots: Vec<DocSlot> = vec![None; docs.len()];
-        for _ in 0..chunks.len() {
-            let (index, chunk_results) = recv
-                .recv()
-                .expect("every chunk job reports exactly once before the senders close");
-            for (slot, result) in slots[chunks[index].clone()].iter_mut().zip(chunk_results) {
-                *slot = Some(result);
+        let mut ids = (0..len).map(|k| sel.id(k));
+        for shard in shards {
+            stats.docs_skipped += shard.skipped;
+            stats.docs_rejected += shard.rejected;
+            for (result, id) in shard.results.into_iter().zip(&mut ids) {
+                let set = result?;
+                stats.mappings += set.len();
+                stats.matched_documents += usize::from(!set.is_empty());
+                results[id] = set;
             }
         }
-        // As on the scoped path: the shard count, not the clamped request,
-        // is the number of workers that ran (the calling thread for an
-        // empty corpus).
-        collect_result(docs, chunks.len().max(1), slots, start)
+        stats.elapsed = start.elapsed();
+        Ok((CorpusResult { results, stats }, trace))
     }
 }
 
@@ -588,15 +594,17 @@ impl std::fmt::Debug for CorpusEngine {
 /// thread-pool layers (the serve daemon) clamp to the same bound.
 pub const MAX_THREADS: usize = 256;
 
-/// Resolves the requested worker count: `0` means one per available CPU;
-/// there is never a point in more workers than documents, nor past
-/// [`MAX_THREADS`].
-fn effective_threads(requested: usize, docs: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    let threads = if requested == 0 { available } else { requested };
-    threads.clamp(1, docs.clamp(1, MAX_THREADS))
+/// Resolves the requested worker count for a pass over `selected`
+/// documents: [`resolve_pool_threads`], then never more workers than
+/// documents.
+fn effective_threads(requested: usize, selected: usize) -> usize {
+    resolve_pool_threads(requested).min(selected.max(1))
+}
+
+/// One empty relation per document (an empty `MappingSet` does not
+/// allocate).
+fn empty_results(len: usize) -> Vec<MappingSet> {
+    std::iter::repeat_with(MappingSet::new).take(len).collect()
 }
 
 /// Splits a document into one [`Document`] per line — the shape of the

@@ -1,18 +1,20 @@
 //! A persistent worker pool for long-running corpus evaluation.
 //!
-//! [`CorpusEngine::evaluate_with_threads`](crate::CorpusEngine::evaluate_with_threads)
-//! spawns *scoped* threads per call — the right shape for a CLI invocation
-//! that evaluates one corpus and exits, but wasteful for a resident query
-//! service that shards thousands of corpus requests: every request would
-//! pay thread spawn and teardown. [`WorkerPool`] keeps a fixed set of
-//! workers alive for the lifetime of the process;
+//! The corpus driver runs its shards on one of two substrates. Scoped
+//! threads per call suit a CLI invocation that evaluates one corpus and
+//! exits, and any pass over borrowed documents (a resident store's corpus
+//! lives behind its caller's lock). A resident query service that shards
+//! thousands of text-corpus requests would pay thread spawn and teardown on
+//! each of them, so [`WorkerPool`] keeps a fixed set of workers alive for
+//! the lifetime of the process, and
 //! [`CorpusEngine::evaluate_on_pool`](crate::CorpusEngine::evaluate_on_pool)
-//! shards a corpus across it with the same corpus-order, bit-identical
-//! result guarantees as the scoped path.
+//! hands the same driver's shards to it. Either way a pass that resolves to
+//! one worker runs inline on the calling thread, and the corpus-order,
+//! bit-identical result guarantees are the driver's, not the substrate's.
 //!
-//! Jobs are `'static` closures (the pool outlives any one call), so the
-//! sharded evaluation shares the engine and the documents through `Arc`
-//! instead of scoped borrows.
+//! Jobs are `'static` closures (the pool outlives any one call), so a
+//! pooled pass shares the engine and the documents through `Arc` instead
+//! of scoped borrows.
 
 use std::num::NonZeroUsize;
 use std::sync::mpsc::{channel, Sender};
@@ -91,10 +93,11 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// Resolves a requested worker-pool size: `0` means one worker per
-/// available CPU; the result is clamped to `[1, MAX_THREADS]`, matching
-/// the scoped evaluation path. Public so every thread-pool layer (the
-/// serve daemon's connection workers included) resolves identically.
+/// Resolves a requested worker count: `0` means one worker per available
+/// CPU; the result is clamped to `[1, MAX_THREADS]`. The one resolver:
+/// corpus passes call it before clamping to their selection size, and it
+/// is public so every thread-pool layer (the serve daemon's connection
+/// workers included) resolves identically.
 pub fn resolve_pool_threads(requested: usize) -> usize {
     let available = std::thread::available_parallelism()
         .map(NonZeroUsize::get)

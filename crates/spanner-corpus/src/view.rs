@@ -6,7 +6,9 @@
 //! hash differs from the retained entry (appended, updated, deleted, or
 //! evicted ones) and merges the retained relations for everything else —
 //! the semi-naive shape: after `k` mutations a repeat query costs `O(k)`
-//! document evaluations, not `O(n)`.
+//! document evaluations, not `O(n)`. The delta pass is the crate's one
+//! corpus driver run over the view's misses: view hits and index-pruned
+//! misses sit outside its selection and are never read.
 //!
 //! **Soundness.** An entry is reused only when the stored hash equals the
 //! document's current content hash, and a spanner's result is a pure
@@ -23,9 +25,7 @@
 //! nothing — every evaluation is cold — which the differential oracle uses
 //! to pin the delta path against the full scan.
 
-use crate::{
-    effective_threads, eval_doc, shard_ranges, CorpusEngine, CorpusResult, CorpusStats, DocOutcome,
-};
+use crate::{empty_results, CorpusEngine, CorpusResult, CorpusStats, Pass, Selection, Substrate};
 use spanner_core::{Document, MappingSet, SpannerResult};
 use std::time::Instant;
 
@@ -188,8 +188,10 @@ impl CorpusEngine {
     /// sorted candidate set for this query over the current corpus (every
     /// document with a non-empty result is in it — the shape
     /// `spanner_store::Store::candidates` produces): delta documents
-    /// outside it are recorded as empty without being read, so a cold view
-    /// over an indexed store stays as cheap as the indexed scan.
+    /// outside it are recorded as empty without being read (and counted in
+    /// `docs_skipped`), so a cold view over an indexed store stays as cheap
+    /// as the indexed scan. Evaluated entries are refreshed only when the
+    /// pass succeeds; after an error the next pass re-evaluates them.
     pub fn evaluate_delta(
         &self,
         docs: &[Document],
@@ -201,15 +203,17 @@ impl CorpusEngine {
         let start = Instant::now();
         assert_eq!(docs.len(), hashes.len(), "one content hash per document");
         view.resize(docs.len());
-        let mut slots: Vec<Option<MappingSet>> = vec![None; docs.len()];
-        let mut view_hits = 0;
+        let mut results = empty_results(docs.len());
+        // The view hits' share of the tally; the driver counts the rest.
+        let mut hits = CorpusStats::default();
         let mut invalidated = 0;
         let mut misses: Vec<u32> = Vec::new();
-        for (i, slot) in slots.iter_mut().enumerate() {
+        for (i, result) in results.iter_mut().enumerate() {
             match &view.entries[i] {
                 Some((hash, set)) if *hash == hashes[i] => {
-                    *slot = Some(set.clone());
-                    view_hits += 1;
+                    *result = set.clone();
+                    hits.mappings += set.len();
+                    hits.matched_documents += usize::from(!set.is_empty());
                 }
                 Some(_) => {
                     invalidated += 1;
@@ -226,76 +230,26 @@ impl CorpusEngine {
             None => (misses, Vec::new()),
         };
         for &i in &pruned {
-            let empty = MappingSet::new();
-            view.store(i as usize, hashes[i as usize], &empty);
-            slots[i as usize] = Some(empty);
+            view.store(i as usize, hashes[i as usize], &MappingSet::new());
         }
-        // Evaluate the remaining delta, sharding the miss list (not the
-        // corpus): the work is proportional to the delta, so that is what
-        // balances.
-        let threads = effective_threads(threads, to_eval.len());
-        type Evaluated = Vec<(u32, (SpannerResult<MappingSet>, DocOutcome))>;
-        let evaluated: Evaluated;
-        let workers = if threads <= 1 {
-            evaluated = to_eval
-                .iter()
-                .map(|&i| (i, eval_doc(self.plan(), &docs[i as usize])))
-                .collect();
-            1
-        } else {
-            let ranges = shard_ranges(to_eval.len(), threads);
-            let outcomes: Vec<Evaluated> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|range| {
-                        let chunk = &to_eval[range.clone()];
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|&i| (i, eval_doc(self.plan(), &docs[i as usize])))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("corpus worker panicked"))
-                    .collect()
-            });
-            let workers = outcomes.len();
-            evaluated = outcomes.into_iter().flatten().collect();
-            workers
+        let pass = Pass {
+            sel: Selection::Ids(&to_eval),
+            results,
+            outside: CorpusStats {
+                docs_skipped: pruned.len(),
+                ..hits
+            },
         };
-        let mut docs_skipped = pruned.len();
-        let mut docs_rejected = 0;
-        for (i, (result, outcome)) in evaluated {
-            match outcome {
-                DocOutcome::Skipped => docs_skipped += 1,
-                DocOutcome::Rejected => docs_rejected += 1,
-                DocOutcome::Evaluated => {}
-            }
-            let set = result?;
-            view.store(i as usize, hashes[i as usize], &set);
-            slots[i as usize] = Some(set);
+        let (mut output, _) = self.drive(docs, pass, Substrate::Scoped(threads), None)?;
+        for &i in &to_eval {
+            let i = i as usize;
+            view.store(i, hashes[i], &output.results[i]);
         }
-        let results: Vec<MappingSet> = slots
-            .into_iter()
-            .map(|s| s.expect("every document was filled"))
-            .collect();
-        let stats = CorpusStats {
-            documents: docs.len(),
-            bytes: docs.iter().map(Document::len).sum(),
-            mappings: results.iter().map(MappingSet::len).sum(),
-            matched_documents: results.iter().filter(|r| !r.is_empty()).count(),
-            threads: workers,
-            docs_skipped,
-            docs_rejected,
-            elapsed: start.elapsed(),
-        };
+        output.stats.elapsed = start.elapsed();
         Ok(DeltaOutcome {
-            output: CorpusResult { results, stats },
+            output,
             delta_docs,
-            view_hits,
+            view_hits: docs.len() - delta_docs,
             invalidated,
         })
     }

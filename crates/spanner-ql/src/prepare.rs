@@ -17,7 +17,7 @@ use spanner_algebra::{
     PlanStream, RaOptions, RaTree,
 };
 use spanner_core::{Document, MappingSet, SpannerResult, VarSet};
-use spanner_corpus::{CorpusEngine, CorpusResult, DeltaOutcome, QueryView, WorkerPool};
+use spanner_corpus::{CorpusEngine, CorpusResult, WorkerPool};
 use std::sync::Arc;
 
 /// A compiled SpannerQL query, ready for repeated evaluation.
@@ -135,26 +135,6 @@ impl PreparedQuery {
         self.engine.evaluate_on_pool(docs, pool)
     }
 
-    /// Evaluates the query over a corpus *incrementally* through a
-    /// maintained [`QueryView`] (see [`CorpusEngine::evaluate_delta`]):
-    /// documents whose content hash matches their retained entry reuse the
-    /// memoized relation; only the delta is re-run. Results are
-    /// bit-identical to [`PreparedQuery::evaluate_corpus`] for every
-    /// thread count and view budget. `hashes` holds one content hash per
-    /// document and `candidates` an optional sound sorted candidate set
-    /// (both in the shape a `spanner_store::Store` maintains).
-    pub fn evaluate_corpus_delta(
-        &self,
-        docs: &[Document],
-        hashes: &[u64],
-        candidates: Option<&[u32]>,
-        view: &mut QueryView,
-        threads: usize,
-    ) -> SpannerResult<DeltaOutcome> {
-        self.engine
-            .evaluate_delta(docs, hashes, candidates, view, threads)
-    }
-
     /// [`PreparedQuery::evaluate_corpus`] with per-operator instrumentation
     /// aggregated over every document
     /// (see [`CorpusEngine::evaluate_traced_with_threads`]).
@@ -168,12 +148,6 @@ impl PreparedQuery {
 
     /// The corpus engine wrapping the compiled plan.
     pub fn engine(&self) -> &CorpusEngine {
-        &self.engine
-    }
-
-    /// The corpus engine as a shareable handle (for `'static` jobs on
-    /// persistent worker pools).
-    pub fn shared_engine(&self) -> &Arc<CorpusEngine> {
         &self.engine
     }
 
@@ -485,40 +459,6 @@ mod tests {
         let pool = WorkerPool::new(2);
         let pooled = q.evaluate_corpus_on_pool(&docs, &pool).unwrap();
         assert_eq!(pooled.results, out.results);
-    }
-
-    #[test]
-    fn corpus_delta_evaluation_is_incremental_and_identical() {
-        let q = PreparedQuery::prepare("/{x:a+}/").unwrap();
-        let mut docs = vec![Document::new("aa"), Document::new("b"), Document::new("a")];
-        let hash = |docs: &[Document]| -> Vec<u64> {
-            docs.iter()
-                .map(|d| spanner_store::fnv1a64(d.bytes()))
-                .collect()
-        };
-        let mut view = QueryView::unbounded();
-        let cold = q
-            .evaluate_corpus_delta(&docs, &hash(&docs), None, &mut view, 1)
-            .unwrap();
-        assert_eq!(
-            cold.output.results,
-            q.evaluate_corpus(&docs, 1).unwrap().results
-        );
-        assert_eq!((cold.delta_docs, cold.view_hits), (3, 0));
-        // One changed document: only it is re-evaluated, results stay
-        // bit-identical to the full pass.
-        docs[1] = Document::new("aba");
-        let warm = q
-            .evaluate_corpus_delta(&docs, &hash(&docs), None, &mut view, 2)
-            .unwrap();
-        assert_eq!(
-            (warm.delta_docs, warm.view_hits, warm.invalidated),
-            (1, 2, 1)
-        );
-        assert_eq!(
-            warm.output.results,
-            q.evaluate_corpus(&docs, 1).unwrap().results
-        );
     }
 
     #[test]
