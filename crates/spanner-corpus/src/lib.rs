@@ -17,7 +17,8 @@
 //!   points differ only in which ids they pass
 //!   ([`CorpusEngine::evaluate_with_threads`]: all;
 //!   [`CorpusEngine::evaluate_candidates_with_threads`]: an index's
-//!   candidates; [`CorpusEngine::evaluate_delta`]: a view's misses), in
+//!   candidates; [`CorpusEngine::evaluate_delta`]: the documents changed
+//!   since a view's last synchronization), in
 //!   what they count as pruned without reading it, and in where the shards
 //!   run: inline on the calling thread when one worker suffices, otherwise
 //!   on scoped threads ([`CorpusEngine::evaluate_with_threads`]) or on a
@@ -58,7 +59,7 @@ pub mod pool;
 pub mod view;
 
 pub use pool::{resolve_pool_threads, WorkerPool};
-pub use view::{DeltaOutcome, QueryView};
+pub use view::{DeltaOutcome, QueryView, Relations, SyncPoint};
 
 /// Aggregate statistics of one corpus evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -114,8 +115,8 @@ pub struct CorpusEngine {
 }
 
 /// Which documents one corpus pass evaluates. Every other document keeps
-/// the result its caller already holds (empty, or a retained view entry)
-/// and is never read.
+/// the result its caller already holds (empty, or a retained view
+/// relation) and is never read.
 #[derive(Debug, Clone, Copy)]
 enum Selection<'a> {
     /// Every document, in corpus order.
@@ -143,26 +144,24 @@ impl Selection<'_> {
     }
 }
 
-/// One corpus pass: which documents to evaluate, and what the caller
-/// already holds for the others.
-struct Pass<'a> {
-    sel: Selection<'a>,
-    /// One relation per document, indexed like the corpus; the driver
-    /// overwrites the selected slots and returns the rest as they are.
+/// What one driver pass produced.
+struct PassOutput {
+    /// One relation per selected document, in selection order (corpus
+    /// order for [`Selection::All`]).
     results: Vec<MappingSet>,
-    /// The unselected documents' share of the tally: `docs_skipped` for
-    /// documents pruned without being read, `mappings` and
-    /// `matched_documents` for results the caller already holds.
-    outside: CorpusStats,
+    /// The whole corpus's tally: the pass's documents on top of the
+    /// caller's `outside` share.
+    stats: CorpusStats,
+    /// The merged trace, when tracing was on.
+    trace: Option<ExecTrace>,
 }
 
-impl Pass<'_> {
-    /// Every document of a corpus of `len`.
-    fn all(len: usize) -> Pass<'static> {
-        Pass {
-            sel: Selection::All,
-            results: empty_results(len),
-            outside: CorpusStats::default(),
+impl PassOutput {
+    /// The corpus result of a whole-corpus ([`Selection::All`]) pass.
+    fn into_result(self) -> CorpusResult {
+        CorpusResult {
+            results: self.results,
+            stats: self.stats,
         }
     }
 }
@@ -399,7 +398,8 @@ impl CorpusEngine {
         threads: usize,
     ) -> SpannerResult<CorpusResult> {
         let on = Substrate::Scoped(threads);
-        Ok(self.drive(docs, Pass::all(docs.len()), on, None)?.0)
+        let pass = self.drive(docs, Selection::All, CorpusStats::default(), on, None)?;
+        Ok(pass.into_result())
     }
 
     /// [`CorpusEngine::evaluate_with_threads`] with per-operator
@@ -419,8 +419,9 @@ impl CorpusEngine {
     ) -> SpannerResult<(CorpusResult, ExecTrace)> {
         let on = Substrate::Scoped(threads);
         let skeleton = Some(self.plan.physical().trace_skeleton());
-        let (result, trace) = self.drive(docs, Pass::all(docs.len()), on, skeleton)?;
-        Ok((result, trace.expect("a traced pass returns its trace")))
+        let mut pass = self.drive(docs, Selection::All, CorpusStats::default(), on, skeleton)?;
+        let trace = pass.trace.take().expect("a traced pass returns its trace");
+        Ok((pass.into_result(), trace))
     }
 
     /// Evaluates only the `candidates` subset of the corpus — the
@@ -444,15 +445,20 @@ impl CorpusEngine {
         candidates: &[u32],
         threads: usize,
     ) -> SpannerResult<CorpusResult> {
-        let pass = Pass {
-            sel: Selection::Ids(candidates),
-            results: empty_results(docs.len()),
-            outside: CorpusStats {
-                docs_skipped: docs.len() - candidates.len(),
-                ..CorpusStats::default()
-            },
+        let outside = CorpusStats {
+            docs_skipped: docs.len() - candidates.len(),
+            ..CorpusStats::default()
         };
-        Ok(self.drive(docs, pass, Substrate::Scoped(threads), None)?.0)
+        let on = Substrate::Scoped(threads);
+        let pass = self.drive(docs, Selection::Ids(candidates), outside, on, None)?;
+        let mut results = empty_results(docs.len());
+        for (&id, set) in candidates.iter().zip(pass.results) {
+            results[id as usize] = set;
+        }
+        Ok(CorpusResult {
+            results,
+            stats: pass.stats,
+        })
     }
 
     /// Evaluates the corpus by sharding it across a persistent
@@ -472,31 +478,31 @@ impl CorpusEngine {
         pool: &WorkerPool,
     ) -> SpannerResult<CorpusResult> {
         let on = Substrate::Pool(pool, self, docs);
-        Ok(self.drive(docs, Pass::all(docs.len()), on, None)?.0)
+        let pass = self.drive(docs, Selection::All, CorpusStats::default(), on, None)?;
+        Ok(pass.into_result())
     }
 
     /// The one corpus driver behind every entry point.
     ///
-    /// Evaluates the pass's selection in contiguous shards of the
-    /// selection (the work is proportional to the selection, so that is
-    /// what balances) through [`run_shard`], on `on`, and tallies one
-    /// [`CorpusStats`] on top of the pass's `outside` share. `trace`, when
-    /// given, is a plan skeleton that seeds every shard's accumulator; the
+    /// Evaluates the selection `sel` in contiguous shards of the selection
+    /// (the work is proportional to the selection, so that is what
+    /// balances) through [`run_shard`], on `on`, and tallies one
+    /// [`CorpusStats`] on top of `outside`, the unselected documents'
+    /// share (`docs_skipped` for documents pruned without being read,
+    /// `mappings` and `matched_documents` for results the caller already
+    /// holds). Unselected documents are never read. `trace`, when given,
+    /// is a plan skeleton that seeds every shard's accumulator; the
     /// shards' traces merge, in order, into the returned one. The first
     /// error in corpus order is returned.
     fn drive(
         &self,
         docs: &[Document],
-        pass: Pass<'_>,
+        sel: Selection<'_>,
+        outside: CorpusStats,
         on: Substrate<'_>,
         trace: Option<ExecTrace>,
-    ) -> SpannerResult<(CorpusResult, Option<ExecTrace>)> {
+    ) -> SpannerResult<PassOutput> {
         let start = Instant::now();
-        let Pass {
-            sel,
-            mut results,
-            outside,
-        } = pass;
         let len = sel.len(docs.len());
         let requested = match on {
             Substrate::Scoped(threads) => threads,
@@ -566,19 +572,23 @@ impl CorpusEngine {
                 merged.merge(&trace);
                 merged
             });
-        let mut ids = (0..len).map(|k| sel.id(k));
+        let mut results = Vec::with_capacity(len);
         for shard in shards {
             stats.docs_skipped += shard.skipped;
             stats.docs_rejected += shard.rejected;
-            for (result, id) in shard.results.into_iter().zip(&mut ids) {
+            for result in shard.results {
                 let set = result?;
                 stats.mappings += set.len();
                 stats.matched_documents += usize::from(!set.is_empty());
-                results[id] = set;
+                results.push(set);
             }
         }
         stats.elapsed = start.elapsed();
-        Ok((CorpusResult { results, stats }, trace))
+        Ok(PassOutput {
+            results,
+            stats,
+            trace,
+        })
     }
 }
 
@@ -605,6 +615,25 @@ fn effective_threads(requested: usize, selected: usize) -> usize {
 /// allocate).
 fn empty_results(len: usize) -> Vec<MappingSet> {
     std::iter::repeat_with(MappingSet::new).take(len).collect()
+}
+
+/// Intersection of two sorted, duplicate-free id lists — the shape of
+/// posting lists, candidate sets and changed-document lists.
+pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
 }
 
 /// Splits a document into one [`Document`] per line — the shape of the
@@ -920,15 +949,6 @@ mod tests {
                 .collect(),
         );
         let all_ids: Vec<u32> = (0..docs.len() as u32).collect();
-        let hashes: Vec<u64> = docs
-            .iter()
-            .map(|d| {
-                use std::hash::{Hash, Hasher};
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                d.text().hash(&mut h);
-                h.finish()
-            })
-            .collect();
         let timeless = |out: CorpusResult| {
             let stats = CorpusStats {
                 elapsed: Duration::ZERO,
@@ -948,18 +968,32 @@ mod tests {
             let pool = WorkerPool::new(threads);
             let pooled = e.evaluate_on_pool(&docs, &pool).unwrap();
             let mut view = QueryView::unbounded();
+            let at = SyncPoint {
+                store: 1,
+                generation: 0,
+            };
             let delta = e
-                .evaluate_delta(&docs, &hashes, None, &mut view, threads)
+                .evaluate_delta(&docs, &all_ids, None, &mut view, at, threads)
                 .unwrap();
             for (name, out) in [
                 ("traced", traced),
                 ("candidates", candidates),
                 ("pool", pooled),
-                ("delta", delta.output),
+                ("delta", delta.output()),
             ] {
                 assert_eq!(timeless(out), reference, "{name} at {threads} threads");
             }
         }
+    }
+
+    #[test]
+    fn intersect_sorted_keeps_common_ids() {
+        assert_eq!(
+            intersect_sorted(&[1, 3, 5, 9], &[0, 3, 4, 9, 11]),
+            vec![3, 9]
+        );
+        assert!(intersect_sorted(&[], &[1]).is_empty());
+        assert!(intersect_sorted(&[2, 4], &[]).is_empty());
     }
 
     #[test]

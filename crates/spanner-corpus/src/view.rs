@@ -1,256 +1,239 @@
-//! Maintained per-query result views with delta propagation.
+//! Maintained per-query result views, kept current by change stamps.
 //!
-//! A [`QueryView`] memoizes one prepared query's per-document relations,
-//! keyed by each document's content hash. Re-running the query through
-//! [`CorpusEngine::evaluate_delta`] then touches only the documents whose
-//! hash differs from the retained entry (appended, updated, deleted, or
-//! evicted ones) and merges the retained relations for everything else —
-//! the semi-naive shape: after `k` mutations a repeat query costs `O(k)`
-//! document evaluations, not `O(n)`. The delta pass is the crate's one
-//! corpus driver run over the view's misses: view hits and index-pruned
-//! misses sit outside its selection and are never read.
+//! A [`QueryView`] holds one prepared query's non-empty per-document
+//! relations, sorted by document id, and the point they were computed
+//! at: a store's process-unique id and its mutation generation. The store
+//! stamps every document with the generation of its last change, so
+//! [`CorpusEngine::evaluate_delta`] re-evaluates exactly the documents
+//! stamped since — after `k` mutations a repeat query costs `k` document
+//! evaluations, the semi-naive shape — as one corpus-driver pass over the
+//! changed ids in the index's candidate set.
 //!
-//! **Soundness.** An entry is reused only when the stored hash equals the
-//! document's current content hash, and a spanner's result is a pure
-//! function of document content — so every reused relation is exactly what
-//! re-evaluation would produce (up to hash collisions, which the store's
-//! 64-bit FNV-1a makes vanishingly unlikely; see DESIGN.md §11). Every
-//! other document — absent entry, hash mismatch, or budget-evicted — is
-//! re-evaluated from scratch. No generation bookkeeping or changed-list is
-//! needed for correctness; the hash comparison alone decides.
+//! **Soundness.** A spanner's result is a pure function of the document,
+//! and a document changes only through a mutation that stamps it, so
+//! every kept relation is what re-evaluation would produce — no hashing,
+//! no collision argument. Against another store (a rebuilt or reloaded
+//! one, whose generations restart) every document counts as changed. The
+//! new state is committed in one assignment after the pass succeeds: an
+//! error or a panic mid-pass leaves the view at its old, still correct,
+//! generation.
 //!
-//! The view is bounded: retained relations are charged `mappings + 1`
-//! against a byte-free cost budget, entries that would exceed it are simply
-//! not retained (and re-evaluated next time). Budget `0` therefore retains
-//! nothing — every evaluation is cold — which the differential oracle uses
-//! to pin the delta path against the full scan.
+//! **Budget.** Retention is all-or-nothing: a view whose answer costs
+//! more than its budget — mappings plus non-empty documents — retains
+//! nothing and stays cold. Budget `0` never retains, which the
+//! differential oracle uses to pin the delta path against the full scan.
 
-use crate::{empty_results, CorpusEngine, CorpusResult, CorpusStats, Pass, Selection, Substrate};
+use crate::{
+    empty_results, intersect_sorted, CorpusEngine, CorpusResult, CorpusStats, Selection, Substrate,
+};
 use spanner_core::{Document, MappingSet, SpannerResult};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// One retained entry: the document's content hash at evaluation time and
-/// the relation it produced.
-type ViewEntry = Option<(u64, MappingSet)>;
+/// A corpus answer in sparse form: the non-empty relations, sorted by
+/// document id. Every other document's relation is empty.
+pub type Relations = Arc<Vec<(u32, MappingSet)>>;
 
-/// A maintained result view for one prepared query over one corpus:
-/// per-document memoized relations keyed by content hash, behind a bounded
-/// retention budget.
+/// A point in one store's history: the store's process-unique id and its
+/// mutation generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SyncPoint {
+    /// The store's process-unique id.
+    pub store: u64,
+    /// The store's generation.
+    pub generation: u64,
+}
+
+/// A maintained result view for one prepared query over one store: the
+/// query's sparse answer as of one synchronization point, behind an
+/// all-or-nothing retention budget.
 #[derive(Debug, Clone, Default)]
 pub struct QueryView {
-    /// Indexed like the corpus; `None` = not retained (never evaluated,
-    /// or evicted by the budget).
-    entries: Vec<ViewEntry>,
-    /// Retention budget in cost units ([`QueryView::cost`] per entry).
+    /// The answer at `synced`; empty while cold.
+    relations: Relations,
+    /// Retention budget in cost units ([`QueryView::retained_cost`]).
     budget: usize,
-    /// Cost of the currently retained entries.
-    retained_cost: usize,
-    /// Store generation the view was last synchronized against — advisory
-    /// (freshness is decided per document by hash), surfaced for
-    /// observability.
-    generation: u64,
+    /// `None` while cold: nothing retained, every document re-evaluated.
+    synced: Option<SyncPoint>,
+    /// Corpus size at `synced`: changed ids below it are updates or
+    /// deletes, the rest appends.
+    documents: usize,
 }
 
 impl QueryView {
-    /// An empty view with the given retention budget. Budget `0` retains
-    /// nothing (every evaluation is cold).
+    /// A cold view with the given retention budget. Budget `0` never
+    /// retains (every evaluation is cold).
     pub fn new(budget: usize) -> QueryView {
         QueryView {
-            entries: Vec::new(),
             budget,
-            retained_cost: 0,
-            generation: 0,
+            ..QueryView::default()
         }
     }
 
-    /// An empty view with an effectively unlimited budget.
+    /// A cold view with an effectively unlimited budget.
     pub fn unbounded() -> QueryView {
         QueryView::new(usize::MAX)
     }
 
-    /// The retention budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Cost of the currently retained entries (≤ budget).
+    /// What the view retains, in budget units: mappings plus non-empty
+    /// documents (`0` while cold).
     pub fn retained_cost(&self) -> usize {
-        self.retained_cost
+        cost(&self.relations)
     }
 
-    /// Number of retained (hash, relation) entries.
+    /// Number of retained relations (the non-empty documents).
     pub fn retained_entries(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.relations.len()
     }
 
-    /// The store generation recorded at the last synchronization
-    /// ([`QueryView::set_generation`]); purely informational.
+    /// The store generation the view last synchronized at (`0` while
+    /// cold).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.synced.map_or(0, |at| at.generation)
     }
 
-    /// Records the store generation this view now reflects.
-    pub fn set_generation(&mut self, generation: u64) {
-        self.generation = generation;
-    }
-
-    /// Drops every retained entry (the budget is kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.retained_cost = 0;
-    }
-
-    /// Retention cost of one relation. `+1` so even empty relations have
-    /// non-zero cost: a zero budget retains nothing at all.
-    fn cost(set: &MappingSet) -> usize {
-        set.len() + 1
-    }
-
-    /// Resizes the entry table to the corpus: new slots start unretained,
-    /// entries past the end (the corpus shrank) are released.
-    fn resize(&mut self, len: usize) {
-        while self.entries.len() > len {
-            if let Some(Some((_, set))) = self.entries.pop() {
-                self.retained_cost -= Self::cost(&set);
-            }
-        }
-        if self.entries.len() < len {
-            self.entries.resize_with(len, || None);
-        }
-    }
-
-    /// Retains `set` for document `idx` under `hash` if the budget allows;
-    /// a previously retained entry for the slot is released either way.
-    fn store(&mut self, idx: usize, hash: u64, set: &MappingSet) {
-        let slot = &mut self.entries[idx];
-        if let Some((_, old)) = slot.take() {
-            self.retained_cost -= Self::cost(&old);
-        }
-        let cost = Self::cost(set);
-        // Subtraction form: `retained_cost + cost` could overflow near a
-        // `usize::MAX` budget; `retained_cost <= budget` is an invariant.
-        if cost <= self.budget - self.retained_cost {
-            *slot = Some((hash, set.clone()));
-            self.retained_cost += cost;
-        }
+    /// The generation the view last synchronized at against `store`;
+    /// `None` while cold or when it was synchronized against another
+    /// store — then every document counts as changed.
+    pub fn synced_generation(&self, store: u64) -> Option<u64> {
+        self.synced
+            .filter(|at| at.store == store)
+            .map(|at| at.generation)
     }
 }
 
-/// The outcome of one delta evaluation: the full-corpus result (identical
-/// to a cold evaluation) plus how much of it was served from the view.
+/// Retention cost of an answer: `+1` per relation, so a view that retains
+/// anything costs more than `0`.
+fn cost(relations: &[(u32, MappingSet)]) -> usize {
+    relations.iter().map(|(_, set)| set.len() + 1).sum()
+}
+
+/// The outcome of one delta evaluation: the whole corpus's answer
+/// (identical to a cold evaluation) plus how much of it the view served.
 #[derive(Debug)]
 pub struct DeltaOutcome {
-    /// Per-document relations for the whole corpus, in corpus order, plus
-    /// aggregate stats — bit-identical to
-    /// [`CorpusEngine::evaluate_with_threads`].
-    pub output: CorpusResult,
-    /// Documents *not* served from the view (absent, hash-changed, or
-    /// evicted entries) — the documents the delta pass had to look at.
+    /// The whole corpus's answer in sparse form — shared with the view
+    /// when it retains it.
+    pub relations: Relations,
+    /// Aggregate stats over the whole corpus: `mappings` and
+    /// `matched_documents` count every relation, the fast-path counters
+    /// this pass's documents.
+    pub stats: CorpusStats,
+    /// Documents changed since the view's last synchronization — every
+    /// document when it was cold or synchronized against another store.
     pub delta_docs: usize,
-    /// Documents whose retained relation was reused.
+    /// Documents served from the view: `documents - delta_docs`.
     pub view_hits: usize,
-    /// Retained entries discarded because the document's hash changed —
-    /// a subset of `delta_docs`.
+    /// Changed documents that already existed at the last synchronization
+    /// (updates and deletes, not appends).
     pub invalidated: usize,
 }
 
-/// Splits the sorted id list `items` by membership in the sorted id list
-/// `set`: `(members, non_members)`.
-fn split_by_membership(items: &[u32], set: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut members = Vec::new();
-    let mut non_members = Vec::new();
-    let mut j = 0;
-    for &i in items {
-        while j < set.len() && set[j] < i {
-            j += 1;
+impl DeltaOutcome {
+    /// The dense corpus-order result — bit-identical to
+    /// [`CorpusEngine::evaluate_with_threads`].
+    pub fn output(&self) -> CorpusResult {
+        let mut results = empty_results(self.stats.documents);
+        for (id, set) in self.relations.iter() {
+            results[*id as usize] = set.clone();
         }
-        if j < set.len() && set[j] == i {
-            members.push(i);
-        } else {
-            non_members.push(i);
+        CorpusResult {
+            results,
+            stats: self.stats,
         }
     }
-    (members, non_members)
+}
+
+/// The relations of `old` whose documents are not in `changed`, plus
+/// `fresh` (whose ids are all in `changed`), sorted by id. `old` is moved
+/// from when no reader still shares it, copied otherwise.
+fn merge(
+    old: Relations,
+    changed: &[u32],
+    fresh: impl Iterator<Item = (u32, MappingSet)>,
+) -> Relations {
+    let old = Arc::try_unwrap(old).unwrap_or_else(|shared| shared.as_ref().clone());
+    let mut merged: Vec<(u32, MappingSet)> = old
+        .into_iter()
+        .filter(|(id, _)| changed.binary_search(id).is_err())
+        .chain(fresh)
+        .collect();
+    // Two sorted runs: the stable sort merges them in linear time.
+    merged.sort_by_key(|(id, _)| *id);
+    Arc::new(merged)
 }
 
 impl CorpusEngine {
     /// Evaluates the corpus *incrementally* against a maintained
-    /// [`QueryView`]: documents whose content hash matches their retained
-    /// entry reuse the memoized relation; every other document (the
-    /// *delta*) is re-evaluated and its entry refreshed. Results cover the
-    /// whole corpus in order and are bit-identical to
-    /// [`CorpusEngine::evaluate_with_threads`] for every thread count and
-    /// budget.
+    /// [`QueryView`] and synchronizes the view to `at`: only the `changed`
+    /// documents are re-evaluated; every other document keeps the relation
+    /// the view holds. The answer covers the whole corpus and is
+    /// bit-identical to [`CorpusEngine::evaluate_with_threads`] for every
+    /// thread count and budget.
     ///
-    /// `hashes` must hold one content hash per document (the store
-    /// maintains them; `spanner_store::fnv1a64` is the reference
-    /// implementation). `candidates`, when given, must be a *sound*
-    /// sorted candidate set for this query over the current corpus (every
-    /// document with a non-empty result is in it — the shape
-    /// `spanner_store::Store::candidates` produces): delta documents
-    /// outside it are recorded as empty without being read (and counted in
-    /// `docs_skipped`), so a cold view over an indexed store stays as cheap
-    /// as the indexed scan. Evaluated entries are refreshed only when the
-    /// pass succeeds; after an error the next pass re-evaluates them.
+    /// `changed` must be the sorted, duplicate-free ids of every document
+    /// whose content may differ from what it was at
+    /// `view.synced_generation(at.store)` — every id when that is `None`.
+    /// `candidates`, when given, must be a *sound* sorted candidate set for
+    /// this query over the current corpus (every document with a non-empty
+    /// result is in it — the shape `spanner_store::Store::candidates`
+    /// produces): changed documents outside it are recorded as empty
+    /// without being read (and counted in `docs_skipped`). The view is
+    /// updated only when the pass succeeds.
     pub fn evaluate_delta(
         &self,
         docs: &[Document],
-        hashes: &[u64],
+        changed: &[u32],
         candidates: Option<&[u32]>,
         view: &mut QueryView,
+        at: SyncPoint,
         threads: usize,
     ) -> SpannerResult<DeltaOutcome> {
         let start = Instant::now();
-        assert_eq!(docs.len(), hashes.len(), "one content hash per document");
-        view.resize(docs.len());
-        let mut results = empty_results(docs.len());
-        // The view hits' share of the tally; the driver counts the rest.
-        let mut hits = CorpusStats::default();
-        let mut invalidated = 0;
-        let mut misses: Vec<u32> = Vec::new();
-        for (i, result) in results.iter_mut().enumerate() {
-            match &view.entries[i] {
-                Some((hash, set)) if *hash == hashes[i] => {
-                    *result = set.clone();
-                    hits.mappings += set.len();
-                    hits.matched_documents += usize::from(!set.is_empty());
-                }
-                Some(_) => {
-                    invalidated += 1;
-                    misses.push(i as u32);
-                }
-                None => misses.push(i as u32),
-            }
-        }
-        let delta_docs = misses.len();
-        // Index pruning applies to the delta only: a missed document
-        // outside a sound candidate set is provably result-free.
-        let (to_eval, pruned) = match candidates {
-            Some(set) => split_by_membership(&misses, set),
-            None => (misses, Vec::new()),
+        let since = view.synced_generation(at.store);
+        debug_assert!(
+            since.is_some() || changed.len() == docs.len(),
+            "a view without a sync point against this store re-evaluates every document"
+        );
+        let pruned = candidates.map(|set| intersect_sorted(changed, set));
+        let to_eval = pruned.as_deref().unwrap_or(changed);
+        let outside = CorpusStats {
+            docs_skipped: changed.len() - to_eval.len(),
+            ..CorpusStats::default()
         };
-        for &i in &pruned {
-            view.store(i as usize, hashes[i as usize], &MappingSet::new());
-        }
-        let pass = Pass {
-            sel: Selection::Ids(&to_eval),
-            results,
-            outside: CorpusStats {
-                docs_skipped: pruned.len(),
-                ..hits
-            },
+        let on = Substrate::Scoped(threads);
+        let pass = self.drive(docs, Selection::Ids(to_eval), outside, on, None)?;
+        let fresh = to_eval.iter().copied().zip(pass.results);
+        let fresh = fresh.filter(|(_, set)| !set.is_empty());
+        // Commit point: the view is cold until the assignment below.
+        let budget = view.budget;
+        let old = std::mem::replace(view, QueryView::new(budget));
+        let relations = match since {
+            Some(_) if changed.is_empty() => old.relations,
+            Some(_) => merge(old.relations, changed, fresh),
+            None => Arc::new(fresh.collect()),
         };
-        let (mut output, _) = self.drive(docs, pass, Substrate::Scoped(threads), None)?;
-        for &i in &to_eval {
-            let i = i as usize;
-            view.store(i, hashes[i], &output.results[i]);
+        let retained = cost(&relations);
+        if budget > 0 && retained <= budget {
+            *view = QueryView {
+                relations: Arc::clone(&relations),
+                budget,
+                synced: Some(at),
+                documents: docs.len(),
+            };
         }
-        output.stats.elapsed = start.elapsed();
+        let mut stats = pass.stats;
+        // The cost is the mappings plus one per relation.
+        stats.mappings = retained - relations.len();
+        stats.matched_documents = relations.len();
+        stats.elapsed = start.elapsed();
+        let existed = since.map_or(0, |_| old.documents);
         Ok(DeltaOutcome {
-            output,
-            delta_docs,
-            view_hits: docs.len() - delta_docs,
-            invalidated,
+            relations,
+            stats,
+            delta_docs: changed.len(),
+            view_hits: docs.len() - changed.len(),
+            invalidated: changed.partition_point(|&id| (id as usize) < existed),
         })
     }
 }
@@ -265,38 +248,43 @@ mod tests {
         CorpusEngine::compile(&RaTree::leaf(0), &inst, RaOptions::default()).unwrap()
     }
 
-    fn hash(doc: &Document) -> u64 {
-        // Local FNV-1a 64 mirror of `spanner_store::fnv1a64` (this crate
-        // sits below the store and cannot depend on it).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in doc.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+    fn docs(texts: &[&str]) -> Vec<Document> {
+        texts.iter().map(|t| Document::new(*t)).collect()
     }
 
-    fn hashes(docs: &[Document]) -> Vec<u64> {
-        docs.iter().map(hash).collect()
+    fn all(docs: &[Document]) -> Vec<u32> {
+        (0..docs.len() as u32).collect()
+    }
+
+    fn at(generation: u64) -> SyncPoint {
+        SyncPoint {
+            store: 7,
+            generation,
+        }
     }
 
     #[test]
     fn warm_view_serves_everything_from_retained_entries() {
         let e = engine("{x:a+}");
-        let docs: Vec<Document> = ["aa", "b", "a", "", "aaa"]
-            .iter()
-            .map(|t| Document::new(*t))
-            .collect();
-        let h = hashes(&docs);
+        let docs = docs(&["aa", "b", "a", "", "aaa"]);
         let full = e.evaluate_with_threads(&docs, 2).unwrap();
         let mut view = QueryView::unbounded();
-        let cold = e.evaluate_delta(&docs, &h, None, &mut view, 2).unwrap();
-        assert_eq!(cold.output.results, full.results);
+        let cold = e
+            .evaluate_delta(&docs, &all(&docs), None, &mut view, at(0), 2)
+            .unwrap();
+        assert_eq!(cold.output().results, full.results);
         assert_eq!(cold.delta_docs, docs.len());
         assert_eq!(cold.view_hits, 0);
-        assert_eq!(view.retained_entries(), docs.len());
-        let warm = e.evaluate_delta(&docs, &h, None, &mut view, 2).unwrap();
-        assert_eq!(warm.output.results, full.results);
+        // Only the non-empty relations are retained.
+        assert_eq!(view.retained_entries(), 3);
+        assert_eq!(view.retained_cost(), 6);
+        assert_eq!(view.synced_generation(7), Some(0));
+        assert_eq!(view.synced_generation(8), None);
+        let warm = e
+            .evaluate_delta(&docs, &[], None, &mut view, at(0), 2)
+            .unwrap();
+        assert_eq!(warm.output().results, full.results);
+        assert_eq!(warm.output().stats.mappings, full.stats.mappings);
         assert_eq!(warm.delta_docs, 0);
         assert_eq!(warm.view_hits, docs.len());
         assert_eq!(warm.invalidated, 0);
@@ -305,70 +293,70 @@ mod tests {
     #[test]
     fn changed_documents_are_invalidated_and_reevaluated() {
         let e = engine("{x:a+}");
-        let mut docs: Vec<Document> = ["aa", "b", "a"].iter().map(|t| Document::new(*t)).collect();
+        let mut docs = docs(&["aa", "b", "a"]);
         let mut view = QueryView::unbounded();
-        let h = hashes(&docs);
-        e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
-        // Mutate one document, append another.
+        e.evaluate_delta(&docs, &all(&docs), None, &mut view, at(0), 1)
+            .unwrap();
+        // Rewrite one document, empty another, append a third.
         docs[1] = Document::new("aaaa");
+        docs[2] = Document::new("");
         docs.push(Document::new("a"));
-        let h = hashes(&docs);
-        let out = e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
+        let out = e
+            .evaluate_delta(&docs, &[1, 2, 3], None, &mut view, at(3), 1)
+            .unwrap();
         let full = e.evaluate_with_threads(&docs, 1).unwrap();
-        assert_eq!(out.output.results, full.results);
-        assert_eq!(out.delta_docs, 2); // the update and the append
-        assert_eq!(out.invalidated, 1); // only the update had an entry
-        assert_eq!(out.view_hits, 2);
+        assert_eq!(out.output().results, full.results);
+        assert_eq!(out.delta_docs, 3);
+        assert_eq!(out.invalidated, 2); // the append did not exist before
+        assert_eq!(out.view_hits, 1);
+        assert_eq!(view.generation(), 3);
+        assert_eq!(view.retained_entries(), 3);
     }
 
     #[test]
     fn zero_budget_view_is_always_cold() {
         let e = engine("{x:a+}");
-        let docs: Vec<Document> = ["aa", "b"].iter().map(|t| Document::new(*t)).collect();
-        let h = hashes(&docs);
+        let docs = docs(&["aa", "b"]);
         let mut view = QueryView::new(0);
         for _ in 0..2 {
-            let out = e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
+            let out = e
+                .evaluate_delta(&docs, &all(&docs), None, &mut view, at(0), 1)
+                .unwrap();
             assert_eq!(out.view_hits, 0);
             assert_eq!(out.delta_docs, docs.len());
             assert_eq!(view.retained_entries(), 0);
             assert_eq!(view.retained_cost(), 0);
+            assert_eq!(view.synced_generation(7), None);
         }
     }
 
     #[test]
-    fn budget_bounds_retained_cost() {
+    fn budget_is_all_or_nothing() {
         let e = engine("{x:a+}");
         let docs: Vec<Document> = (0..10).map(|_| Document::new("aa")).collect();
-        let h = hashes(&docs);
-        // Each entry costs 1 mapping + 1 = 2; a budget of 5 retains 2.
-        let mut view = QueryView::new(5);
-        e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
-        assert!(view.retained_cost() <= 5);
-        assert_eq!(view.retained_entries(), 2);
-        let out = e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
-        assert_eq!(out.view_hits, 2);
-        assert_eq!(out.delta_docs, 8);
         let full = e.evaluate_with_threads(&docs, 1).unwrap();
-        assert_eq!(out.output.results, full.results);
-    }
-
-    #[test]
-    fn shrinking_corpus_releases_tail_entries() {
-        let e = engine("{x:a+}");
-        let docs: Vec<Document> = (0..5).map(|_| Document::new("a")).collect();
-        let h = hashes(&docs);
-        let mut view = QueryView::unbounded();
-        e.evaluate_delta(&docs, &h, None, &mut view, 1).unwrap();
-        let cost_before = view.retained_cost();
-        let short = &docs[..2];
+        // Each relation costs 1 mapping + 1 = 2; the whole answer 20.
+        let mut tight = QueryView::new(19);
         let out = e
-            .evaluate_delta(short, &h[..2], None, &mut view, 1)
+            .evaluate_delta(&docs, &all(&docs), None, &mut tight, at(0), 1)
             .unwrap();
-        assert_eq!(out.view_hits, 2);
-        assert_eq!(out.output.results.len(), 2);
-        assert_eq!(view.retained_entries(), 2);
-        assert!(view.retained_cost() < cost_before);
+        assert_eq!(out.output().results, full.results);
+        assert_eq!(tight.retained_entries(), 0);
+        assert_eq!(tight.synced_generation(7), None);
+        let mut exact = QueryView::new(20);
+        e.evaluate_delta(&docs, &all(&docs), None, &mut exact, at(0), 1)
+            .unwrap();
+        assert_eq!(exact.retained_cost(), 20);
+        // An answer that outgrows the budget drops the whole view.
+        let mut grown = docs.clone();
+        grown.push(Document::new("a"));
+        let out = e
+            .evaluate_delta(&grown, &[10], None, &mut exact, at(1), 1)
+            .unwrap();
+        assert_eq!(out.view_hits, 10);
+        assert_eq!(out.output().results.len(), 11);
+        assert_eq!(exact.retained_entries(), 0);
+        assert_eq!(exact.generation(), 0);
     }
 
     #[test]
@@ -383,34 +371,38 @@ mod tests {
                 }
             })
             .collect();
-        let h = hashes(&docs);
         let candidates: Vec<u32> = (0..20).step_by(5).collect();
         let mut view = QueryView::unbounded();
         let out = e
-            .evaluate_delta(&docs, &h, Some(&candidates), &mut view, 2)
+            .evaluate_delta(&docs, &all(&docs), Some(&candidates), &mut view, at(0), 2)
             .unwrap();
         let full = e.evaluate_with_threads(&docs, 2).unwrap();
-        assert_eq!(out.output.results, full.results);
-        // Pruned misses are skipped without being read — and still cached,
-        // so the next pass serves them as hits.
-        assert!(out.output.stats.docs_skipped >= 16);
+        assert_eq!(out.output().results, full.results);
+        // Pruned documents are skipped without being read.
+        assert!(out.stats.docs_skipped >= 16);
         let warm = e
-            .evaluate_delta(&docs, &h, Some(&candidates), &mut view, 2)
+            .evaluate_delta(&docs, &[], Some(&candidates), &mut view, at(0), 2)
             .unwrap();
         assert_eq!(warm.view_hits, docs.len());
         assert_eq!(warm.delta_docs, 0);
     }
 
     #[test]
-    fn split_by_membership_partitions() {
-        let (m, n) = split_by_membership(&[1, 3, 5, 9], &[0, 3, 4, 9, 11]);
-        assert_eq!(m, vec![3, 9]);
-        assert_eq!(n, vec![1, 5]);
-        let (m, n) = split_by_membership(&[], &[1]);
-        assert!(m.is_empty() && n.is_empty());
-        let (m, n) = split_by_membership(&[2, 4], &[]);
-        assert!(m.is_empty());
-        assert_eq!(n, vec![2, 4]);
+    fn a_shared_answer_is_copied_not_moved() {
+        let e = engine("{x:a+}");
+        let mut docs = docs(&["a", "aa", "b"]);
+        let mut view = QueryView::unbounded();
+        let first = e
+            .evaluate_delta(&docs, &all(&docs), None, &mut view, at(0), 1)
+            .unwrap();
+        // A reader still holds the old answer while the view moves on.
+        docs[0] = Document::new("b");
+        let second = e
+            .evaluate_delta(&docs, &[0], None, &mut view, at(1), 1)
+            .unwrap();
+        assert_eq!(first.relations.len(), 2);
+        assert_eq!(second.relations.len(), 1);
+        assert_eq!(second.relations[0].0, 1);
     }
 
     #[test]
@@ -421,8 +413,10 @@ mod tests {
         }
         let e = engine(&parts.concat());
         let docs = vec![Document::new("aaa")];
-        let h = hashes(&docs);
         let mut view = QueryView::unbounded();
-        assert!(e.evaluate_delta(&docs, &h, None, &mut view, 1).is_err());
+        assert!(e
+            .evaluate_delta(&docs, &[0], None, &mut view, at(0), 1)
+            .is_err());
+        assert_eq!(view.synced_generation(7), None);
     }
 }

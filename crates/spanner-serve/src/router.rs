@@ -144,7 +144,7 @@ fn degraded_response(shard: usize, backend: &str, error: &str) -> Json {
 
 /// The single-daemon "nothing loaded" error, byte-identical to
 /// `handle_request`'s so routed and unrouted deployments diagnose alike.
-fn no_corpus() -> Json {
+pub(crate) fn no_corpus() -> Json {
     error_response("no resident corpus (send `load_corpus` first)")
 }
 

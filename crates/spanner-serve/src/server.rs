@@ -24,18 +24,18 @@ use crate::cache::{cache_key, QueryCache};
 use crate::http::handle_http_connection;
 use crate::json::Json;
 use crate::protocol::{error_response, mappings_to_json, Request};
-use crate::router::{Router, RouterOptions};
+use crate::router::{no_corpus, Router, RouterOptions};
 use spanner_algebra::RaOptions;
-use spanner_core::Document;
-use spanner_corpus::{split_lines, CorpusResult, QueryView, WorkerPool};
+use spanner_core::{Document, MappingSet};
+use spanner_corpus::{split_lines, CorpusStats, QueryView, WorkerPool};
 use spanner_obs::{Counter, Exposition, Histogram, Registry, LATENCY_BUCKETS, RATIO_BUCKETS};
-use spanner_store::Store;
+use spanner_store::{selectivity, Store, StoreError};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`Server`].
@@ -62,9 +62,9 @@ pub struct ServeOptions {
     /// this long.
     pub idle_timeout: Duration,
     /// Retention budget of each maintained query view over the resident
-    /// store, in cost units (≈ retained mappings; see
-    /// [`QueryView::new`]). `0` disables retention — every store query is
-    /// a cold evaluation.
+    /// store: a view whose answer has more mappings plus non-empty
+    /// documents retains nothing (see [`QueryView::new`]). `0` disables
+    /// retention — every store query is a cold evaluation.
     pub view_budget: usize,
     /// Maximum number of maintained query views per resident store (one
     /// per distinct prepared program); least-recently-used views are
@@ -145,6 +145,9 @@ pub(crate) struct ServerMetrics {
     /// Per-op request/error/latency, indexed like [`OPS`].
     ops: Vec<OpMetrics>,
     pub(crate) connections: Counter,
+    /// Failed `accept` calls the loop survived (see
+    /// [`accept_retry_pause`]).
+    accept_errors: Counter,
     pub(crate) bytes_read: Counter,
     pub(crate) bytes_written: Counter,
     /// HTTP responses by status class (`2xx`…`5xx`), indexed by
@@ -168,8 +171,8 @@ pub(crate) struct ServerMetrics {
     store_updates: Counter,
     store_deletes: Counter,
     /// Maintained-view outcomes per resident-store query: documents served
-    /// from a retained entry, documents re-evaluated (the delta), and
-    /// retained entries dropped because their document changed.
+    /// from the view, documents changed since its last synchronization
+    /// (the delta), and changed documents that already existed then.
     view_hits: Counter,
     view_misses: Counter,
     view_invalidations: Counter,
@@ -210,11 +213,30 @@ impl ServerMetrics {
                 &[("outcome", outcome)],
             )
         };
+        let mutations = |op| {
+            registry.counter(
+                "spanner_store_mutations_total",
+                "Resident-store mutations applied, by op",
+                &[("op", op)],
+            )
+        };
+        let view_docs = |outcome| {
+            registry.counter(
+                "spanner_view_docs_total",
+                "Documents per resident-store query, by view outcome",
+                &[("outcome", outcome)],
+            )
+        };
         ServerMetrics {
             ops,
             connections: registry.counter(
                 "spanner_connections_total",
                 "TCP connections accepted",
+                &[],
+            ),
+            accept_errors: registry.counter(
+                "spanner_accept_errors_total",
+                "Failed TCP accepts the daemon recovered from",
                 &[],
             ),
             bytes_read: registry.counter(
@@ -248,39 +270,19 @@ impl ServerMetrics {
                 &[],
                 LATENCY_BUCKETS,
             ),
-            store_appends: registry.counter(
-                "spanner_store_mutations_total",
-                "Resident-store mutations applied, by op",
-                &[("op", "append")],
-            ),
-            store_updates: registry.counter(
-                "spanner_store_mutations_total",
-                "Resident-store mutations applied, by op",
-                &[("op", "update")],
-            ),
-            store_deletes: registry.counter(
-                "spanner_store_mutations_total",
-                "Resident-store mutations applied, by op",
-                &[("op", "delete")],
-            ),
-            view_hits: registry.counter(
-                "spanner_view_docs_total",
-                "Documents per resident-store query, by view outcome",
-                &[("outcome", "hit")],
-            ),
-            view_misses: registry.counter(
-                "spanner_view_docs_total",
-                "Documents per resident-store query, by view outcome",
-                &[("outcome", "miss")],
-            ),
+            store_appends: mutations("append"),
+            store_updates: mutations("update"),
+            store_deletes: mutations("delete"),
+            view_hits: view_docs("hit"),
+            view_misses: view_docs("miss"),
             view_invalidations: registry.counter(
                 "spanner_view_invalidations_total",
-                "Retained view entries dropped because their document changed",
+                "Documents updated or deleted since a maintained view's last synchronization",
                 &[],
             ),
             view_delta_docs: registry.histogram(
                 "spanner_view_delta_docs",
-                "Documents re-evaluated (the delta) per resident-store query",
+                "Documents changed since the view's last synchronization, per resident-store query",
                 &[],
                 DELTA_BUCKETS,
             ),
@@ -352,6 +354,7 @@ struct ResidentStore {
 /// A bounded LRU map of maintained query views over one resident store,
 /// keyed exactly like the prepared-query cache (trimmed program text +
 /// compile options) so a view can never serve a plan it was not built by.
+/// Its locks recover from poisoning ([`relock`]).
 struct ViewSet {
     state: Mutex<ViewSetState>,
     /// Maximum resident views; `0` disables views.
@@ -382,18 +385,19 @@ impl ViewSet {
     }
 
     /// The view for `key`, creating it (and evicting the least recently
-    /// used one past capacity) on first use; `None` when views are
-    /// disabled. The returned handle is locked *outside* the set mutex.
-    fn get(&self, key: &str) -> Option<Arc<Mutex<QueryView>>> {
+    /// used one past capacity) on first use; a throwaway zero-budget view
+    /// when views are disabled. The returned handle is locked *outside*
+    /// the set mutex.
+    fn get(&self, key: &str) -> Arc<Mutex<QueryView>> {
         if self.capacity == 0 {
-            return None;
+            return Arc::new(Mutex::new(QueryView::new(0)));
         }
-        let mut state = self.state.lock().expect("view set poisoned");
+        let mut state = relock(&self.state);
         state.tick += 1;
         let tick = state.tick;
         if let Some(slot) = state.views.get_mut(key) {
             slot.last_used = tick;
-            return Some(Arc::clone(&slot.view));
+            return Arc::clone(&slot.view);
         }
         if state.views.len() >= self.capacity {
             if let Some(oldest) = state
@@ -413,23 +417,30 @@ impl ViewSet {
                 last_used: tick,
             },
         );
-        Some(view)
+        view
     }
 
     /// Number of resident views.
     fn entries(&self) -> usize {
-        self.state.lock().expect("view set poisoned").views.len()
+        relock(&self.state).views.len()
     }
 
     /// Total retention cost across every resident view.
     fn retained_cost(&self) -> usize {
-        let state = self.state.lock().expect("view set poisoned");
-        state
+        relock(&self.state)
             .views
             .values()
-            .map(|slot| slot.view.lock().expect("view poisoned").retained_cost())
+            .map(|slot| relock(&slot.view).retained_cost())
             .sum()
     }
+}
+
+/// Locks a view-set mutex, recovering from poisoning: a view commits a
+/// sync in one assignment, so a panic mid-sync leaves it at its old (still
+/// correct) generation, and the set's LRU state is consistent between
+/// statements.
+fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// State shared by the accept loop and every connection worker.
@@ -666,8 +677,13 @@ impl Server {
                 Ok(stream) => {
                     let _ = sender.send(stream);
                 }
-                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-                Err(e) => return Err(e),
+                Err(e) => {
+                    let Some(pause) = accept_retry_pause(&e) else {
+                        return Err(e);
+                    };
+                    self.shared.metrics.accept_errors.inc();
+                    std::thread::sleep(pause);
+                }
             }
         }
         drop(sender);
@@ -697,6 +713,23 @@ impl std::fmt::Debug for Server {
 /// the daemon when the OS refuses to spawn.
 fn resolve_threads(requested: usize) -> usize {
     spanner_corpus::resolve_pool_threads(requested)
+}
+
+/// How long the accept loop pauses after a failed `accept` before trying
+/// again; `None` when the listener itself is unusable (invalid or
+/// unsupported) and the daemon must stop. A peer that gave up
+/// mid-handshake or an interrupted call is retried at once; anything else
+/// — notably descriptor or memory exhaustion (`EMFILE`, `ENFILE`,
+/// `ENOBUFS`, `ENOMEM`), which frees up as connections close — backs off
+/// briefly. The loop checks the shutdown flag after every error.
+fn accept_retry_pause(e: &io::Error) -> Option<Duration> {
+    match e.kind() {
+        io::ErrorKind::ConnectionAborted
+        | io::ErrorKind::ConnectionReset
+        | io::ErrorKind::Interrupted => Some(Duration::ZERO),
+        io::ErrorKind::InvalidInput | io::ErrorKind::Unsupported => None,
+        _ => Some(Duration::from_millis(10)),
+    }
 }
 
 /// How often an idle connection re-checks the shutdown flag.
@@ -878,49 +911,78 @@ fn with_query(
     }
 }
 
-/// Builds the shared `query_corpus` success response from a full-corpus
-/// result: per-line mappings for matched documents, aggregate stats, plus
-/// any path-specific fields (the store path appends candidate count and
-/// selectivity). Also accumulates the daemon-wide fast-path counters.
-fn corpus_response(
+/// Builds the shared `query_corpus` success response: per-line mappings
+/// for the `matched` (line, non-empty relation) pairs in line order,
+/// aggregate stats, plus any path-specific fields (the store path appends
+/// candidate count, selectivity and view accounting). Also accumulates
+/// the daemon-wide fast-path counters, which skip the `view_hits`.
+fn corpus_response<'a>(
     shared: &Shared,
     cached: bool,
     docs: &[Document],
-    out: &CorpusResult,
+    stats: &CorpusStats,
+    matched: impl Iterator<Item = (usize, &'a MappingSet)>,
+    view_hits: usize,
     extra: impl IntoIterator<Item = (&'static str, Json)>,
 ) -> Json {
-    let skipped = out.stats.docs_skipped as u64;
-    let rejected = out.stats.docs_rejected as u64;
-    shared.metrics.docs_skipped.add(skipped);
-    shared.metrics.docs_rejected.add(rejected);
-    shared
-        .metrics
-        .docs_evaluated
-        .add((out.stats.documents as u64).saturating_sub(skipped + rejected));
-    let results: Vec<Json> = docs
-        .iter()
-        .zip(&out.results)
-        .enumerate()
-        .filter(|(_, (_, set))| !set.is_empty())
-        .map(|(index, (doc, set))| {
+    let m = &shared.metrics;
+    m.docs_skipped.add(stats.docs_skipped as u64);
+    m.docs_rejected.add(stats.docs_rejected as u64);
+    let untouched = stats.docs_skipped + stats.docs_rejected + view_hits;
+    m.docs_evaluated
+        .add(stats.documents.saturating_sub(untouched) as u64);
+    let results: Vec<Json> = matched
+        .map(|(index, set)| {
             Json::object([
                 ("line", Json::number(index)),
                 ("count", Json::number(set.len())),
-                ("mappings", mappings_to_json(doc, set)),
+                ("mappings", mappings_to_json(&docs[index], set)),
             ])
         })
         .collect();
     let mut fields = vec![
         ("ok", Json::Bool(true)),
         ("cached", Json::Bool(cached)),
-        ("documents", Json::number(out.stats.documents)),
-        ("matched", Json::number(out.stats.matched_documents)),
-        ("mappings", Json::number(out.stats.mappings)),
-        ("skipped", Json::number(out.stats.docs_skipped)),
-        ("rejected", Json::number(out.stats.docs_rejected)),
+        ("documents", Json::number(stats.documents)),
+        ("matched", Json::number(stats.matched_documents)),
+        ("mappings", Json::number(stats.mappings)),
+        ("skipped", Json::number(stats.docs_skipped)),
+        ("rejected", Json::number(stats.docs_rejected)),
     ];
     fields.extend(extra);
     fields.push(("results", Json::Array(results)));
+    Json::object(fields)
+}
+
+/// Applies one mutation per item to the resident store under its write
+/// lock, in order; the first failure aborts, earlier mutations stay
+/// applied. The count applied is added to `counter` and, when `field` is
+/// given, reported under it next to the store's new size and generation.
+fn mutate<T>(
+    shared: &Shared,
+    counter: &Counter,
+    field: Option<&'static str>,
+    items: impl IntoIterator<Item = T>,
+    mut apply: impl FnMut(&mut Store, T) -> Result<(), StoreError>,
+) -> Json {
+    let Some(resident) = shared.resident() else {
+        return no_corpus();
+    };
+    let mut store = resident.store.write().expect("store lock poisoned");
+    let mut applied = 0;
+    let result: Result<(), StoreError> = items.into_iter().try_for_each(|item| {
+        apply(&mut store, item)?;
+        applied += 1;
+        Ok(())
+    });
+    counter.add(applied as u64);
+    if let Err(e) = result {
+        return error_response(e);
+    }
+    let mut fields = vec![("ok", Json::Bool(true))];
+    fields.extend(field.map(|field| (field, Json::number(applied))));
+    fields.push(("documents", Json::number(store.len())));
+    fields.push(("generation", Json::number(store.generation() as usize)));
     Json::object(fields)
 }
 
@@ -999,80 +1061,21 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
                 }
             }
         }
-        Request::AppendDocs { text } => match shared.resident() {
-            None => error_response("no resident corpus (send `load_corpus` first)"),
-            Some(resident) => {
-                let mut store = resident.store.write().expect("store lock poisoned");
-                let mut appended = 0usize;
-                let mut failure = None;
-                for line in text.lines() {
-                    match store.append(line) {
-                        Ok(_) => appended += 1,
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                shared.metrics.store_appends.add(appended as u64);
-                match failure {
-                    Some(e) => error_response(e),
-                    None => Json::object([
-                        ("ok", Json::Bool(true)),
-                        ("appended", Json::number(appended)),
-                        ("documents", Json::number(store.len())),
-                        ("generation", Json::number(store.generation() as usize)),
-                    ]),
-                }
-            }
-        },
-        Request::UpdateDoc { line, text } => match shared.resident() {
-            None => error_response("no resident corpus (send `load_corpus` first)"),
-            Some(resident) => {
-                let mut store = resident.store.write().expect("store lock poisoned");
-                match store.update(line, &text) {
-                    Err(e) => error_response(e),
-                    Ok(()) => {
-                        shared.metrics.store_updates.inc();
-                        Json::object([
-                            ("ok", Json::Bool(true)),
-                            ("documents", Json::number(store.len())),
-                            ("generation", Json::number(store.generation() as usize)),
-                        ])
-                    }
-                }
-            }
-        },
-        Request::DeleteDocs { lines } => match shared.resident() {
-            None => error_response("no resident corpus (send `load_corpus` first)"),
-            Some(resident) => {
-                let mut store = resident.store.write().expect("store lock poisoned");
-                let mut deleted = 0usize;
-                let mut failure = None;
-                // Applied in order; the first bad id aborts (earlier
-                // deletes stay applied — deletes are idempotent, so a
-                // client can safely retry the whole batch).
-                for id in lines {
-                    match store.delete(id) {
-                        Ok(()) => deleted += 1,
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                shared.metrics.store_deletes.add(deleted as u64);
-                match failure {
-                    Some(e) => error_response(e),
-                    None => Json::object([
-                        ("ok", Json::Bool(true)),
-                        ("deleted", Json::number(deleted)),
-                        ("documents", Json::number(store.len())),
-                        ("generation", Json::number(store.generation() as usize)),
-                    ]),
-                }
-            }
-        },
+        Request::AppendDocs { text } => {
+            let append = |store: &mut Store, line| store.append(line).map(drop);
+            let counter = &shared.metrics.store_appends;
+            mutate(shared, counter, Some("appended"), text.lines(), append)
+        }
+        Request::UpdateDoc { line, text } => {
+            let update = |store: &mut Store, ()| store.update(line, &text);
+            mutate(shared, &shared.metrics.store_updates, None, [()], update)
+        }
+        // Deletes are idempotent, so a client can retry a batch that
+        // failed partway.
+        Request::DeleteDocs { lines } => {
+            let counter = &shared.metrics.store_deletes;
+            mutate(shared, counter, Some("deleted"), lines, Store::delete)
+        }
         Request::QueryCorpus {
             program,
             text: Some(text),
@@ -1080,61 +1083,64 @@ fn handle_request(shared: &Shared, request: Request) -> Json {
             let docs = Arc::new(split_lines(&text));
             match query.evaluate_corpus_on_pool(&docs, &shared.pool) {
                 Err(e) => error_response(e),
-                Ok(out) => corpus_response(shared, cached, &docs, &out, []),
+                Ok(out) => {
+                    let matched = out.results.iter().enumerate();
+                    let matched = matched.filter(|(_, set)| !set.is_empty());
+                    corpus_response(shared, cached, &docs, &out.stats, matched, 0, [])
+                }
             }
         }),
         Request::QueryCorpus {
             program,
             text: None,
         } => match shared.resident() {
-            None => error_response("no resident corpus (send `load_corpus` first)"),
+            None => no_corpus(),
             Some(resident) => with_query(shared, &program, |query, cached| {
                 let store = resident.store.read().expect("store lock poisoned");
                 let threads = shared.pool.threads();
-                // One maintained view per (program, options) key; with
-                // views disabled a throwaway zero-budget view keeps the
-                // code path (and the response shape) identical.
-                let slot = resident
+                // One maintained view per (program, options) key, locked
+                // only for the sync; the answer it returns is shared, so
+                // the response is built after the lock is released.
+                let view = resident
                     .views
                     .get(&cache_key(&program, shared.options.ra_options));
-                let result = match &slot {
-                    Some(slot) => {
-                        let mut view = slot.lock().expect("view poisoned");
-                        store.query_view(query.engine(), &mut view, threads)
-                    }
-                    None => store.query_view(query.engine(), &mut QueryView::new(0), threads),
-                };
+                let engine = query.engine();
+                let candidates = store.candidates(&engine.plan().required_literals());
+                let ids = candidates.as_deref();
+                let result = store.sync_view(engine, ids, &mut relock(&view), threads);
                 match result {
                     Err(e) => error_response(e),
-                    Ok(outcome) => {
+                    Ok(delta) => {
+                        let count = ids.map(<[u32]>::len);
+                        let selectivity = selectivity(count, delta.stats.documents);
                         let m = &shared.metrics;
-                        m.store_selectivity.observe(outcome.selectivity());
-                        m.view_hits.add(outcome.view_hits as u64);
-                        m.view_misses.add(outcome.delta_docs as u64);
-                        m.view_invalidations.add(outcome.invalidated as u64);
-                        m.view_delta_docs.observe(outcome.delta_docs as f64);
-                        let documents = outcome.output.stats.documents;
+                        m.store_selectivity.observe(selectivity);
+                        m.view_hits.add(delta.view_hits as u64);
+                        m.view_misses.add(delta.delta_docs as u64);
+                        m.view_invalidations.add(delta.invalidated as u64);
+                        m.view_delta_docs.observe(delta.delta_docs as f64);
+                        let documents = delta.stats.documents;
                         if documents > 0 {
                             m.view_hit_ratio
-                                .observe(outcome.view_hits as f64 / documents as f64);
+                                .observe(delta.view_hits as f64 / documents as f64);
                         }
-                        let candidates = match outcome.candidates {
-                            Some(count) => Json::number(count),
-                            // Full-scan fallback: no usable literal.
-                            None => Json::Null,
-                        };
+                        // Null on the full-scan fallback: no usable literal.
+                        let candidates = count.map_or(Json::Null, Json::number);
+                        let matched = delta.relations.iter().map(|(id, set)| (*id as usize, set));
                         corpus_response(
                             shared,
                             cached,
                             store.documents(),
-                            &outcome.output,
+                            &delta.stats,
+                            matched,
+                            delta.view_hits,
                             [
                                 ("candidates", candidates),
-                                ("selectivity", Json::Number(outcome.selectivity())),
-                                ("delta_docs", Json::number(outcome.delta_docs)),
-                                ("view_hits", Json::number(outcome.view_hits)),
-                                ("invalidated", Json::number(outcome.invalidated)),
-                                ("generation", Json::number(outcome.generation as usize)),
+                                ("selectivity", Json::Number(selectivity)),
+                                ("delta_docs", Json::number(delta.delta_docs)),
+                                ("view_hits", Json::number(delta.view_hits)),
+                                ("invalidated", Json::number(delta.invalidated)),
+                                ("generation", Json::number(store.generation() as usize)),
                             ],
                         )
                     }
@@ -1304,5 +1310,86 @@ mod tests {
         // A huge request degrades to the shared ceiling instead of
         // attempting (and aborting on) a million thread spawns.
         assert_eq!(resolve_threads(1_000_000), spanner_corpus::MAX_THREADS);
+    }
+
+    #[test]
+    fn accept_errors_are_classified() {
+        use io::ErrorKind::*;
+        let pause = |kind| accept_retry_pause(&io::Error::from(kind));
+        for kind in [ConnectionAborted, ConnectionReset, Interrupted] {
+            assert_eq!(pause(kind), Some(Duration::ZERO), "{kind:?}");
+        }
+        for kind in [InvalidInput, Unsupported] {
+            assert_eq!(pause(kind), None, "{kind:?}");
+        }
+        for kind in [OutOfMemory, Other] {
+            assert!(pause(kind) > Some(Duration::ZERO), "{kind:?}");
+        }
+        // ENFILE and EMFILE: descriptor exhaustion under connection
+        // pressure must back off, not stop the daemon.
+        #[cfg(unix)]
+        for errno in [23, 24] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert!(accept_retry_pause(&e) > Some(Duration::ZERO), "{e}");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_view_keeps_answering() {
+        let options = ServeOptions {
+            corpus_threads: 1,
+            ..ServeOptions::default()
+        };
+        let server = Server::bind("127.0.0.1:0", options).unwrap();
+        let shared = &server.shared;
+        let corpus: Vec<String> = (0..40)
+            .map(|i| match i % 8 {
+                0 => format!("line {i}: a needle"),
+                _ => format!("line {i}: hay"),
+            })
+            .collect();
+        let loaded = handle_request(
+            shared,
+            Request::LoadCorpus {
+                text: corpus.join("\n"),
+            },
+        );
+        assert_eq!(loaded.get("ok").and_then(Json::as_bool), Some(true));
+        let program = "/.*{x:needle}.*/";
+        let query = || {
+            handle_request(
+                shared,
+                Request::QueryCorpus {
+                    program: program.to_string(),
+                    text: None,
+                },
+            )
+        };
+        let first = query();
+        assert_eq!(first.get("matched").and_then(Json::as_usize), Some(5));
+
+        // Panic while holding the program's view lock, and the view set's.
+        let resident = shared.resident().unwrap();
+        let key = cache_key(program, shared.options.ra_options);
+        let view = resident.views.get(&key);
+        let holder = Arc::clone(&view);
+        let _ = std::thread::spawn(move || {
+            let _guard = holder.lock().unwrap();
+            panic!("poison the view");
+        })
+        .join();
+        let holder = Arc::clone(&resident);
+        let _ = std::thread::spawn(move || {
+            let _guard = holder.views.state.lock().unwrap();
+            panic!("poison the view set");
+        })
+        .join();
+        assert!(view.is_poisoned() && resident.views.state.is_poisoned());
+
+        let again = query();
+        assert_eq!(again.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(again.get("results"), first.get("results"));
+        assert_eq!(again.get("view_hits").and_then(Json::as_usize), Some(40));
+        assert!(shared.render_metrics().contains("spanner_views 1"));
     }
 }

@@ -793,3 +793,34 @@ fn slow_drip_clients_cannot_hold_a_worker_past_the_idle_timeout() {
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
 }
+
+#[test]
+fn warm_view_queries_evaluate_no_documents() {
+    let (addr, handle) = start(ServeOptions::default());
+    let mut client = Client::connect(addr).unwrap();
+    // A plan without a usable literal: a cold query evaluates every
+    // document the scan pre-pass cannot rule out.
+    let corpus: String = (0..60).map(|i| format!("q{i} line\n")).collect();
+    assert!(ok(&client.load_corpus(corpus.trim_end()).unwrap()));
+    let program = "/{x:q[0-9]*} .*/";
+    let cold = client.query_store(program).unwrap();
+    assert_eq!(cold.get("matched").and_then(Json::as_usize), Some(60));
+    let after_cold = field(&client.stats().unwrap(), ["server", "docs_evaluated"]);
+    assert!(after_cold > 0);
+
+    // The warm repeat is served from the view: nothing is evaluated.
+    let warm = client.query_store(program).unwrap();
+    assert_eq!(warm.get("view_hits").and_then(Json::as_usize), Some(60));
+    assert_eq!(warm.get("results"), cold.get("results"));
+    let stats = client.stats().unwrap();
+    assert_eq!(field(&stats, ["server", "docs_evaluated"]), after_cold);
+
+    // One update re-evaluates one document.
+    assert!(ok(&client.update_doc(5, "q55 changed").unwrap()));
+    client.query_store(program).unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!(field(&stats, ["server", "docs_evaluated"]), after_cold + 1);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}

@@ -36,13 +36,14 @@
 //! mutated store is query- and byte-identical to a from-scratch rebuild
 //! over the same documents (pinned by the `incr_oracle` suite). When the
 //! pending delta outgrows the base ([`COMPACT_GRACE`]), the index is
-//! compacted in place. Each document also carries a 64-bit FNV-1a content
-//! hash ([`fnv1a64`]) and the store a monotone [`Store::generation`]
-//! counter — the keys the maintained query views of
-//! [`spanner_corpus::QueryView`] invalidate on (see [`Store::query_view`]).
-//! Deleting a document replaces it with an empty one (document ids are
-//! stable — views and journals refer to them), so "rebuild" always means
-//! `Store::build(store.documents().to_vec())`.
+//! compacted in place. Every effective mutation bumps a monotone
+//! [`Store::generation`] and stamps the document it touched with it, and
+//! every store has a process-unique id: a maintained
+//! [`spanner_corpus::QueryView`] synchronized at generation `g` of this
+//! store re-evaluates exactly the documents stamped after `g` (see
+//! [`Store::query_view`]). Deleting a document replaces it with an empty
+//! one (document ids are stable — views and journals refer to them), so
+//! "rebuild" always means `Store::build(store.documents().to_vec())`.
 //!
 //! Mutations can be journaled to disk ([`journal::Journal`]) and replayed
 //! onto a loaded segment, so persistence is segment + journal.
@@ -60,9 +61,12 @@
 //! ```
 
 use spanner_core::{Document, FxHashMap, FxHashSet, SpannerResult};
-use spanner_corpus::{CorpusEngine, CorpusResult, QueryView};
+use spanner_corpus::{
+    intersect_sorted, CorpusEngine, CorpusResult, DeltaOutcome, QueryView, SyncPoint,
+};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub mod journal;
 
@@ -114,9 +118,9 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// The 64-bit FNV-1a hash of `bytes` — the store's per-document content
-/// hash. Std-only, stable across platforms and versions: view entries and
-/// journal replays compare these across process boundaries.
+/// The 64-bit FNV-1a hash of `bytes` — the content hash behind
+/// [`Store::doc_hashes`]. Std-only and stable across platforms and
+/// versions, so digests compare across process boundaries.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x100_0000_01b3;
@@ -134,9 +138,13 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// [`Store::delete`]. The document table is shared by every query against
 /// the store.
 pub struct Store {
+    /// Process-unique identity, assigned at build and load: a view
+    /// synchronized against another store reuses nothing here.
+    id: u64,
     docs: Vec<Document>,
-    /// Per-document FNV-1a content hashes, indexed like `docs`.
-    hashes: Vec<u64>,
+    /// Per-document change stamps, indexed like `docs`: the generation of
+    /// the document's last effective mutation (`0` = as built or loaded).
+    stamps: Vec<u64>,
     /// Base segment: sorted, duplicate-free posting lists per byte trigram
     /// covering documents `0..base_len` as of the last build/compaction.
     base: FxHashMap<[u8; 3], Vec<u32>>,
@@ -182,13 +190,18 @@ pub struct StoreQueryOutcome {
 }
 
 impl StoreQueryOutcome {
-    /// Candidate-set selectivity: candidates / corpus size (`1.0` on the
-    /// full-scan fallback or an empty corpus).
+    /// This query's [`selectivity`].
     pub fn selectivity(&self) -> f64 {
-        match (self.candidates, self.output.results.len()) {
-            (Some(c), n) if n > 0 => c as f64 / n as f64,
-            _ => 1.0,
-        }
+        selectivity(self.candidates, self.output.results.len())
+    }
+}
+
+/// Candidate-set selectivity: candidates / corpus size, `1.0` on the
+/// full-scan fallback (`None`) or an empty corpus.
+pub fn selectivity(candidates: Option<usize>, documents: usize) -> f64 {
+    match candidates {
+        Some(c) if documents > 0 => c as f64 / documents as f64,
+        _ => 1.0,
     }
 }
 
@@ -199,11 +212,13 @@ pub struct ViewQueryOutcome {
     /// Per-document relations for the whole corpus, in corpus order —
     /// bit-identical to [`Store::query`] and the unindexed paths.
     pub output: CorpusResult,
-    /// Documents not served from the view (the delta the query touched).
+    /// Documents changed since the view's last synchronization (the delta
+    /// the query touched; every document on a cold view).
     pub delta_docs: usize,
-    /// Documents whose retained relation was reused.
+    /// Documents served from the view: `documents - delta_docs`.
     pub view_hits: usize,
-    /// Retained entries dropped because the document's content changed.
+    /// Changed documents that already existed at the view's last
+    /// synchronization (updates and deletes, not appends).
     pub invalidated: usize,
     /// Size of the trigram candidate set (`None` = full-scan fallback),
     /// as in [`StoreQueryOutcome::candidates`].
@@ -215,15 +230,14 @@ pub struct ViewQueryOutcome {
 }
 
 impl ViewQueryOutcome {
-    /// Candidate-set selectivity: candidates / corpus size (`1.0` on the
-    /// full-scan fallback or an empty corpus).
+    /// This query's [`selectivity`].
     pub fn selectivity(&self) -> f64 {
-        match (self.candidates, self.output.results.len()) {
-            (Some(c), n) if n > 0 => c as f64 / n as f64,
-            _ => 1.0,
-        }
+        selectivity(self.candidates, self.output.results.len())
     }
 }
+
+/// Source of the process-unique store ids.
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Inverts every document's trigrams into sorted posting lists; returns
 /// the map and the total number of posting entries.
@@ -256,11 +270,21 @@ impl Store {
             )));
         }
         let (base, base_postings) = index_documents(&docs);
-        let hashes = docs.iter().map(|d| fnv1a64(d.bytes())).collect();
+        Ok(Store::assemble(docs, base, base_postings))
+    }
+
+    /// A fresh store (new id, generation `0`) over `docs` and their base
+    /// postings.
+    fn assemble(
+        docs: Vec<Document>,
+        base: FxHashMap<[u8; 3], Vec<u32>>,
+        base_postings: usize,
+    ) -> Store {
         let base_len = docs.len();
-        Ok(Store {
+        Store {
+            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
             docs,
-            hashes,
+            stamps: vec![0; base_len],
             base,
             base_len,
             base_postings,
@@ -271,7 +295,7 @@ impl Store {
             deleted: FxHashSet::default(),
             generation: 0,
             compactions: 0,
-        })
+        }
     }
 
     /// The resident document table, in ingest order. Deleted documents
@@ -281,9 +305,9 @@ impl Store {
     }
 
     /// Per-document FNV-1a content hashes, indexed like
-    /// [`Store::documents`].
-    pub fn doc_hashes(&self) -> &[u64] {
-        &self.hashes
+    /// [`Store::documents`] — computed on demand, for comparing stores.
+    pub fn doc_hashes(&self) -> Vec<u64> {
+        self.docs.iter().map(|d| fnv1a64(d.bytes())).collect()
     }
 
     /// Number of documents in the store (including deleted slots).
@@ -317,6 +341,15 @@ impl Store {
     /// per effective `append`/`update`/`delete`.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// Ids of the documents changed after `generation` — stamped by an
+    /// append, update or delete since — in ascending order.
+    pub fn changed_since(&self, generation: u64) -> Vec<u32> {
+        (0..)
+            .zip(&self.stamps)
+            .filter_map(|(id, &stamp)| (stamp > generation).then_some(id))
+            .collect()
     }
 
     /// Number of threshold-triggered or explicit index compactions.
@@ -354,10 +387,9 @@ impl Store {
         let id = self.docs.len() as u32;
         let doc = Document::new(text);
         self.add_delta_postings(id, doc.bytes());
-        self.hashes.push(fnv1a64(doc.bytes()));
         self.docs.push(doc);
-        self.generation += 1;
-        self.maybe_compact();
+        self.stamps.push(0);
+        self.commit_mutation(id);
         Ok(id)
     }
 
@@ -374,11 +406,9 @@ impl Store {
         self.retire_postings(id);
         let doc = Document::new(text);
         self.add_delta_postings(id, doc.bytes());
-        self.hashes[idx] = fnv1a64(doc.bytes());
         self.docs[idx] = doc;
         self.deleted.remove(&id);
-        self.generation += 1;
-        self.maybe_compact();
+        self.commit_mutation(id);
         Ok(())
     }
 
@@ -399,10 +429,8 @@ impl Store {
         }
         self.retire_postings(id);
         self.docs[idx] = Document::new("");
-        self.hashes[idx] = fnv1a64(b"");
         self.deleted.insert(id);
-        self.generation += 1;
-        self.maybe_compact();
+        self.commit_mutation(id);
         Ok(())
     }
 
@@ -464,9 +492,12 @@ impl Store {
         }
     }
 
-    /// Compacts when the pending work outgrows the base (see
-    /// [`COMPACT_GRACE`]).
-    fn maybe_compact(&mut self) {
+    /// Records one effective mutation of document `id`: bumps the
+    /// generation, stamps the document with it, and compacts when the
+    /// pending work outgrows the base (see [`COMPACT_GRACE`]).
+    fn commit_mutation(&mut self, id: u32) {
+        self.generation += 1;
+        self.stamps[id as usize] = self.generation;
         if self.delta_postings + self.stale_count > COMPACT_GRACE.max(self.base_postings / 2) {
             self.compact();
         }
@@ -556,32 +587,26 @@ impl Store {
     /// path.
     pub fn query(&self, engine: &CorpusEngine, threads: usize) -> SpannerResult<StoreQueryOutcome> {
         let literals = engine.plan().required_literals();
-        match self.candidates(&literals) {
-            Some(candidates) => {
-                let count = candidates.len();
-                let output =
-                    engine.evaluate_candidates_with_threads(&self.docs, &candidates, threads)?;
-                Ok(StoreQueryOutcome {
-                    output,
-                    candidates: Some(count),
-                    literals,
-                })
-            }
-            None => Ok(StoreQueryOutcome {
-                output: engine.evaluate_with_threads(&self.docs, threads)?,
-                candidates: None,
-                literals,
-            }),
-        }
+        let candidates = self.candidates(&literals);
+        let output = match &candidates {
+            Some(ids) => engine.evaluate_candidates_with_threads(&self.docs, ids, threads)?,
+            None => engine.evaluate_with_threads(&self.docs, threads)?,
+        };
+        Ok(StoreQueryOutcome {
+            output,
+            candidates: candidates.map(|c| c.len()),
+            literals,
+        })
     }
 
     /// Runs a compiled query *incrementally* through a maintained
-    /// [`QueryView`]: documents whose content hash matches their retained
-    /// entry are served from the view; the delta is pruned through the
-    /// trigram index and re-evaluated
-    /// ([`CorpusEngine::evaluate_delta`]). Results cover the whole corpus
-    /// in order and are bit-identical to [`Store::query`] — a repeat query
-    /// after `k` mutations touches `O(k)` documents, not `O(n)`.
+    /// [`QueryView`]: the documents stamped since the view's last
+    /// synchronization against this store (every document on a cold view)
+    /// are pruned through the trigram index and re-evaluated
+    /// ([`CorpusEngine::evaluate_delta`]); every other document is served
+    /// from the view. Results cover the whole corpus in order and are
+    /// bit-identical to [`Store::query`] — a repeat query after `k`
+    /// mutations evaluates at most `k` documents.
     pub fn query_view(
         &self,
         engine: &CorpusEngine,
@@ -590,16 +615,9 @@ impl Store {
     ) -> SpannerResult<ViewQueryOutcome> {
         let literals = engine.plan().required_literals();
         let candidates = self.candidates(&literals);
-        let delta = engine.evaluate_delta(
-            &self.docs,
-            &self.hashes,
-            candidates.as_deref(),
-            view,
-            threads,
-        )?;
-        view.set_generation(self.generation);
+        let delta = self.sync_view(engine, candidates.as_deref(), view, threads)?;
         Ok(ViewQueryOutcome {
-            output: delta.output,
+            output: delta.output(),
             delta_docs: delta.delta_docs,
             view_hits: delta.view_hits,
             invalidated: delta.invalidated,
@@ -607,6 +625,28 @@ impl Store {
             literals,
             generation: self.generation,
         })
+    }
+
+    /// [`Store::query_view`] given the query's candidate set
+    /// (`self.candidates(&engine.plan().required_literals())`), with the
+    /// answer left in sparse form, shared with the view — a caller that
+    /// locks the view need hold the lock only for this call.
+    pub fn sync_view(
+        &self,
+        engine: &CorpusEngine,
+        candidates: Option<&[u32]>,
+        view: &mut QueryView,
+        threads: usize,
+    ) -> SpannerResult<DeltaOutcome> {
+        let changed = match view.synced_generation(self.id) {
+            Some(generation) => self.changed_since(generation),
+            None => (0..self.docs.len() as u32).collect(),
+        };
+        let at = SyncPoint {
+            store: self.id,
+            generation: self.generation,
+        };
+        engine.evaluate_delta(&self.docs, &changed, candidates, view, at, threads)
     }
 
     /// Persists the store as one segment file (documents + index):
@@ -666,8 +706,8 @@ impl Store {
 
     /// Loads a segment file written by [`Store::save`] back into a resident
     /// store: the document table is read once, whole; the posting lists are
-    /// decoded and validated (sortedness, bounds). Content hashes are
-    /// recomputed; the generation restarts at `0` (deletion tombstones are
+    /// decoded and validated (sortedness, bounds). The loaded store has a
+    /// new id and its generation restarts at `0` (deletion tombstones are
     /// not persisted — a deleted slot loads as an empty document).
     pub fn load(path: impl AsRef<Path>) -> Result<Store, StoreError> {
         Store::load_from(std::fs::File::open(path)?)
@@ -738,21 +778,7 @@ impl Store {
         if r.read(&mut rest)? != 0 {
             return Err(StoreError::Format("trailing bytes after the index".into()));
         }
-        let hashes = docs.iter().map(|d| fnv1a64(d.bytes())).collect();
-        Ok(Store {
-            base_len: docs.len(),
-            stale: vec![false; docs.len()],
-            docs,
-            hashes,
-            base: postings,
-            base_postings: total,
-            delta: FxHashMap::default(),
-            delta_postings: 0,
-            stale_count: 0,
-            deleted: FxHashSet::default(),
-            generation: 0,
-            compactions: 0,
-        })
+        Ok(Store::assemble(docs, postings, total))
     }
 }
 
@@ -768,24 +794,6 @@ impl std::fmt::Debug for Store {
             self.delta_postings,
         )
     }
-}
-
-/// Intersection of two sorted, duplicate-free id lists.
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 /// LEB128-style unsigned varint.
@@ -1107,5 +1115,90 @@ mod tests {
         let full = e.evaluate_with_threads(store.documents(), 2).unwrap();
         assert_eq!(after.output.results, full.results);
         assert_eq!(view.generation(), store.generation());
+    }
+
+    fn needle_store(n: usize) -> Store {
+        let texts: Vec<String> = (0..n)
+            .map(|i| {
+                if i % 4 == 0 {
+                    format!("record {i}: needle found")
+                } else {
+                    format!("record {i}: nothing")
+                }
+            })
+            .collect();
+        Store::build(texts.iter().map(|t| Document::new(t.as_str())).collect()).unwrap()
+    }
+
+    #[test]
+    fn a_view_synced_on_another_store_reuses_nothing() {
+        let e = engine(".*needle{x: .*}");
+        let first = needle_store(40);
+        let mut view = QueryView::unbounded();
+        first.query_view(&e, &mut view, 1).unwrap();
+        assert_eq!(first.query_view(&e, &mut view, 1).unwrap().view_hits, 40);
+
+        // A store built over other documents, at the same generation.
+        let other = Store::build(docs(&["a needle here", "hay", "needle again"])).unwrap();
+        assert_eq!(other.generation(), first.generation());
+        let out = other.query_view(&e, &mut view, 1).unwrap();
+        assert_eq!(out.view_hits, 0);
+        assert_eq!(out.delta_docs, 3);
+        assert_eq!(out.invalidated, 0);
+        let full = e.evaluate_with_threads(other.documents(), 1).unwrap();
+        assert_eq!(out.output.results, full.results);
+
+        // A save/load round trip is another store too.
+        let path = tmp("view-reload");
+        other.save(&path).unwrap();
+        let loaded = Store::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let out = loaded.query_view(&e, &mut view, 1).unwrap();
+        assert_eq!(out.view_hits, 0);
+        assert_eq!(out.output.results, full.results);
+        assert_eq!(loaded.query_view(&e, &mut view, 1).unwrap().view_hits, 3);
+    }
+
+    #[test]
+    fn a_delta_evaluates_only_the_stamped_candidates() {
+        let e = engine(".*needle{x: .*}");
+        let mut store = needle_store(100);
+        let mut view = QueryView::unbounded();
+        store.query_view(&e, &mut view, 2).unwrap();
+        let since = store.generation();
+        // k = 5 mutations on distinct ids: a needle rewrite, a needle
+        // removal, a hay rewrite, a delete and an append.
+        store.update(1, "record 1: needle now").unwrap();
+        store.update(4, "record 4: gone").unwrap();
+        store.update(5, "record 5: still hay").unwrap();
+        store.delete(8).unwrap();
+        store.append("fresh needle line").unwrap();
+        assert_eq!(store.changed_since(since), vec![1, 4, 5, 8, 100]);
+        let out = store.query_view(&e, &mut view, 2).unwrap();
+        let stats = out.output.stats;
+        assert_eq!(out.delta_docs, 5);
+        assert_eq!(out.invalidated, 4);
+        assert!(stats.documents - stats.docs_skipped - out.view_hits <= 5);
+        let full = e.evaluate_with_threads(store.documents(), 2).unwrap();
+        assert_eq!(out.output.results, full.results);
+        assert_eq!(stats.mappings, full.stats.mappings);
+        assert_eq!(stats.matched_documents, full.stats.matched_documents);
+    }
+
+    #[test]
+    fn compaction_invalidates_nothing() {
+        let e = engine(".*needle{x: .*}");
+        let mut store = needle_store(30);
+        let mut view = QueryView::unbounded();
+        store.update(2, "record 2: needle too").unwrap();
+        store.query_view(&e, &mut view, 1).unwrap();
+        let before = store.compactions();
+        store.compact();
+        assert_eq!(store.compactions(), before + 1);
+        let out = store.query_view(&e, &mut view, 1).unwrap();
+        assert_eq!(out.delta_docs, 0);
+        assert_eq!(out.view_hits, store.len());
+        let full = e.evaluate_with_threads(store.documents(), 1).unwrap();
+        assert_eq!(out.output.results, full.results);
     }
 }

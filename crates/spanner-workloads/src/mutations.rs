@@ -4,8 +4,8 @@
 //! benchmark need reproducible interleavings of appends, updates, and
 //! deletes whose document ids are always valid for the corpus they run
 //! against. The generated texts deliberately mix needle hits, misses,
-//! empty documents, and multi-byte UTF-8, so hash-keyed view invalidation
-//! is exercised across char boundaries and on the empty-document edge.
+//! empty documents, and multi-byte UTF-8, so view invalidation is
+//! exercised across char boundaries and on the empty-document edge.
 
 use crate::corpora::needle_padding;
 use rand::rngs::StdRng;
